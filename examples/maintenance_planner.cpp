@@ -60,9 +60,9 @@ int main(int argc, char** argv) {
   charger_cfg.low_watermark = 0.5;
   const int fleet = sim::find_min_fleet(instance, plan.solution, charger_cfg, net_cfg,
                                         /*rounds=*/1000, /*max_chargers=*/8);
-  const auto patrol = sim::analyze_patrol(instance, plan.solution, charger_cfg,
-                                          net_cfg.bits_per_report);
   const auto tour = sim::plan_tour(instance);
+  const auto patrol = sim::analyze_patrol(instance, plan.solution, charger_cfg,
+                                          net_cfg.bits_per_report, tour);
   util::Table fleet_table({"fleet metric", "value"});
   fleet_table.begin_row().add("patrol tour [m]").add(tour.length_m, 1);
   fleet_table.begin_row().add("RF demand [W]").add(patrol.demand_w, 4);

@@ -34,27 +34,45 @@ std::vector<int> lagrange_allocate(std::span<const double> weights, int total_no
     throw std::invalid_argument("need at least one node per post (M >= N)");
   }
 
+  // Each round re-solves the relaxation over the still-open posts.  The
+  // square roots are taken once, and each round sums them over the open
+  // posts in index order, so every share is bit-identical to what
+  // fractional_allocation() returns for the open posts' weights.
+  std::vector<double> roots(weights.size());
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    if (weights[i] < 0.0) throw std::invalid_argument("allocation weights must be non-negative");
+    roots[i] = std::sqrt(weights[i]);
+  }
   std::vector<int> result(weights.size(), 0);
   std::vector<std::size_t> open(weights.size());
   for (std::size_t i = 0; i < open.size(); ++i) open[i] = i;
   int remaining = total_nodes;
 
   while (!open.empty()) {
-    // Re-solve the relaxation over the still-open posts.
-    std::vector<double> open_weights(open.size());
-    for (std::size_t k = 0; k < open.size(); ++k) open_weights[k] = weights[open[k]];
-    const std::vector<double> shares =
-        fractional_allocation(open_weights, static_cast<double>(remaining));
+    const double budget = static_cast<double>(remaining);
+    double sqrt_sum = 0.0;
+    for (const std::size_t i : open) sqrt_sum += roots[i];
 
-    // The paper rounds the smallest fractional share first.
+    // The paper rounds the smallest fractional share first.  With no
+    // workload left the relaxation splits evenly, so the first open post
+    // holds the smallest share.
     std::size_t argmin = 0;
-    for (std::size_t k = 1; k < shares.size(); ++k) {
-      if (shares[k] < shares[argmin]) argmin = k;
+    double smallest = 0.0;
+    if (sqrt_sum <= 0.0) {
+      smallest = budget / static_cast<double>(open.size());
+    } else {
+      for (std::size_t k = 0; k < open.size(); ++k) {
+        const double share = budget * roots[open[k]] / sqrt_sum;
+        if (k == 0 || share < smallest) {
+          argmin = k;
+          smallest = share;
+        }
+      }
     }
     const int posts_left_after = static_cast<int>(open.size()) - 1;
     // Nearest integer, at least one node, and never so many that the other
     // open posts cannot receive their mandatory node each.
-    int assigned = static_cast<int>(std::llround(shares[argmin]));
+    int assigned = static_cast<int>(std::llround(smallest));
     assigned = std::clamp(assigned, 1, remaining - posts_left_after);
     result[open[argmin]] = assigned;
     remaining -= assigned;

@@ -494,7 +494,7 @@ ExactResult solve_exact(const Instance& instance, const ExactOptions& options) {
         instance, std::vector<int>(static_cast<std::size_t>(n), 1), pricer_options);
     const int depth = choose_split_depth(n, m, shared.cap, workers, options.split_depth);
     TaskGenerator generator{instance, options, generator_pricer, depth,
-                            std::vector<int>(static_cast<std::size_t>(n), 1)};
+                            std::vector<int>(static_cast<std::size_t>(n), 1), {}, {}};
     generator.descend(0, m);
     shared.tasks = std::move(generator.tasks);
   }

@@ -13,22 +13,60 @@
 namespace wrsn::core {
 namespace rfh_detail {
 
+void trim_subtree(graph::ShortestPathDag& dag, graph::DagReach& reach, int p) {
+  const int bs = dag.base_station;
+  auto& through = reach.through;
+  auto& descendants = reach.descendants;
+  const graph::Bitset& desc_p = descendants[static_cast<std::size_t>(p)];
+  bool any_deleted = false;
+  // Descendant sets are usually far smaller than n, so walk their set
+  // bits instead of probing every post.
+  desc_p.for_each_set_bit([&](std::size_t d) {
+    auto& parents = dag.parents[d];
+    const auto keep = [&](int q) {
+      return q == p || (q != bs && desc_p.test(static_cast<std::size_t>(q)));
+    };
+    const auto new_end = std::partition(parents.begin(), parents.end(), keep);
+    if (new_end != parents.end()) {
+      parents.erase(new_end, parents.end());
+      any_deleted = true;
+    }
+    if (parents.empty()) {
+      throw std::logic_error("Phase II disconnected a post (bug in trimming)");
+    }
+  });
+  if (!any_deleted) return;
+
+  // Keep the closure exact (the paper's "positions in the queue may have
+  // to be changed").  With D = descendants[p] and K = {p} + D + through[p],
+  // the deletions change exactly through[d] &= K for each d in D, and
+  // descendants[q] -= D for each post q outside K that some d routed
+  // through; nothing else.  docs/performance.md has the proof.
+  graph::Bitset kept = desc_p;
+  kept |= through[static_cast<std::size_t>(p)];
+  kept.set(static_cast<std::size_t>(p));
+  graph::Bitset upstream(kept.size());
+  desc_p.for_each_set_bit([&](std::size_t d) {
+    upstream |= through[d];
+    through[d] &= kept;
+  });
+  upstream.and_not(kept);
+  upstream.for_each_set_bit([&](std::size_t q) {
+    descendants[q].and_not(desc_p);
+    reach.workload[q] = static_cast<int>(descendants[q].count());
+  });
+}
+
 graph::RoutingTree trim_fat_tree(graph::ShortestPathDag& dag) {
   const int n_vertices = dag.num_vertices();
   const int n_posts = n_vertices - 1;
   const int bs = dag.base_station;
 
-  graph::DagReach reach = graph::compute_dag_reach(dag);
-  // Closure rebuilds are the expensive part of Phase II, so they happen
-  // lazily: deletions mark `reach` stale, and it is refreshed only when a
-  // later decision actually depends on up-to-date values.
-  bool stale = false;
+  // One full closure per call; trim_subtree keeps it exact from then on.
   static obs::Counter& rebuilds = obs::Registry::global().counter("rfh/closure_rebuilds");
-  const auto refresh = [&] {
-    graph::compute_dag_reach(dag, reach);  // in place: reuses the bitsets
-    stale = false;
-    rebuilds.increment();
-  };
+  graph::DagReach reach = graph::compute_dag_reach(dag);
+  rebuilds.increment();
+  const std::vector<int>& workload = reach.workload;
 
   std::vector<char> processed(static_cast<std::size_t>(n_vertices), 0);
   processed[static_cast<std::size_t>(bs)] = 1;
@@ -38,74 +76,28 @@ graph::RoutingTree trim_fat_tree(graph::ShortestPathDag& dag) {
     // routing workload (number of DAG descendants). Selecting the max each
     // step is equivalent to maintaining the sorted queue and re-positioning
     // entries whose workload changed.
-    //
-    // A stale closure is safe to select from only when every remaining
-    // workload reads zero: deletions never grow a workload, so stale zeros
-    // are exact, the argmax (first unprocessed post) is unchanged, and a
-    // zero-workload post has no descendants to trim either.  Any other
-    // stale state forces a refresh to keep the selection bit-identical to
-    // the eager recompute.
-    if (stale) {
-      int stale_max = 0;
-      for (int v = 0; v < n_posts; ++v) {
-        if (processed[static_cast<std::size_t>(v)]) continue;
-        stale_max = std::max(stale_max, reach.workload[static_cast<std::size_t>(v)]);
-      }
-      if (stale_max > 0) refresh();
-    }
     int p = -1;
     for (int v = 0; v < n_posts; ++v) {
       if (processed[static_cast<std::size_t>(v)]) continue;
-      if (p < 0 || reach.workload[static_cast<std::size_t>(v)] >
-                       reach.workload[static_cast<std::size_t>(p)]) {
+      if (p < 0 || workload[static_cast<std::size_t>(v)] >
+                       workload[static_cast<std::size_t>(p)]) {
         p = v;
       }
     }
     if (p < 0) break;
     processed[static_cast<std::size_t>(p)] = 1;
-
-    // Every descendant of p drops its edges to parents outside
-    // {p} union descendants(p): reports from p's subtree must pass through p.
-    const graph::Bitset& desc_p = reach.descendants[static_cast<std::size_t>(p)];
-    bool any_deleted = false;
-    // Descendant sets are usually far smaller than n, so walk their set
-    // bits instead of probing every post.
-    desc_p.for_each_set_bit([&](std::size_t d) {
-      auto& parents = dag.parents[d];
-      const auto keep = [&](int q) {
-        return q == p || (q != bs && desc_p.test(static_cast<std::size_t>(q)));
-      };
-      const auto new_end = std::partition(parents.begin(), parents.end(), keep);
-      if (new_end != parents.end()) {
-        parents.erase(new_end, parents.end());
-        any_deleted = true;
-      }
-      if (parents.empty()) {
-        throw std::logic_error("Phase II disconnected a post (bug in trimming)");
-      }
-    });
-    // Deletions shrink upstream workloads (the paper's "positions in the
-    // queue may have to be changed"); later selections refresh on demand.
-    if (any_deleted) stale = true;
+    trim_subtree(dag, reach, p);
   }
 
   // Posts may retain several same-cost parents only in exact-tie corner
-  // cases; resolve deterministically toward the busiest parent.  The
-  // tie-break reads workloads, so a stale closure matters only when some
-  // post actually has a choice of parents.
-  if (stale) {
-    for (int v = 0; v < n_posts && stale; ++v) {
-      if (dag.parents[static_cast<std::size_t>(v)].size() >= 2) refresh();
-    }
-  }
+  // cases; resolve deterministically toward the busiest parent.
   graph::RoutingTree tree(n_posts, bs);
   for (int v = 0; v < n_posts; ++v) {
     const auto& parents = dag.parents[static_cast<std::size_t>(v)];
     if (parents.empty()) throw std::logic_error("post lost all parents during trimming");
     int best = parents.front();
     for (int q : parents) {
-      if (reach.workload[static_cast<std::size_t>(q)] >
-          reach.workload[static_cast<std::size_t>(best)]) {
+      if (workload[static_cast<std::size_t>(q)] > workload[static_cast<std::size_t>(best)]) {
         best = q;
       }
     }

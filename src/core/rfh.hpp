@@ -86,6 +86,12 @@ namespace rfh_detail {
 /// resulting tree. Mutates `dag`.
 graph::RoutingTree trim_fat_tree(graph::ShortestPathDag& dag);
 
+/// One Phase II step for post `p`: every descendant of p drops its parent
+/// edges outside {p} union descendants(p).  `reach` must equal
+/// graph::compute_dag_reach(dag) on entry; it is updated in place so that it
+/// still does on return.
+void trim_subtree(graph::ShortestPathDag& dag, graph::DagReach& reach, int p);
+
 /// Phase III: re-homes children onto sibling heads where strictly cheaper
 /// than reaching the parent. `weight` prices a directed hop (same function
 /// used to build the tree). Mutates `tree` in place.

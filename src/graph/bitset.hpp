@@ -1,11 +1,10 @@
 // Fixed-capacity dynamic bitset used for DAG-reachability sets.
 //
 // Phase II of RFH repeatedly needs "the set of vertices whose routes can
-// pass through p"; the sets pack into 64-bit words so set-union is a row of
-// OR instructions and iteration over members (for_each_set_bit) costs
-// O(words + ones) rather than one test per possible bit -- the difference
-// between Phase II's closure rebuilds being quadratic or cubic at 1e4
-// posts.
+// pass through p"; the sets pack into 64-bit words so union, intersection
+// and difference are a row of word instructions and iteration over members
+// (for_each_set_bit) costs O(words + ones) rather than one test per
+// possible bit.
 #pragma once
 
 #include <bit>
@@ -31,6 +30,17 @@ class Bitset {
 
   Bitset& operator|=(const Bitset& other) noexcept {
     for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
+    return *this;
+  }
+
+  Bitset& operator&=(const Bitset& other) noexcept {
+    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
+    return *this;
+  }
+
+  /// Set difference: clears every bit that is set in `other`.
+  Bitset& and_not(const Bitset& other) noexcept {
+    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= ~other.words_[i];
     return *this;
   }
 

@@ -36,24 +36,12 @@ ShortestPathDag shortest_paths_to_base(const ReachGraph& graph, const WeightFn& 
 }
 
 DagReach compute_dag_reach(const ShortestPathDag& dag) {
-  DagReach reach;
-  compute_dag_reach(dag, reach);
-  return reach;
-}
-
-void compute_dag_reach(const ShortestPathDag& dag, DagReach& reach) {
   const int n = dag.num_vertices();
   const std::size_t bits = static_cast<std::size_t>(n);
-  if (reach.through.size() == static_cast<std::size_t>(n) && n > 0 &&
-      reach.through.front().size() == bits) {
-    for (auto& set : reach.through) set.clear();
-    for (auto& set : reach.descendants) set.clear();
-    std::fill(reach.workload.begin(), reach.workload.end(), 0);
-  } else {
-    reach.through.assign(static_cast<std::size_t>(n), Bitset(bits));
-    reach.descendants.assign(static_cast<std::size_t>(n), Bitset(bits));
-    reach.workload.assign(static_cast<std::size_t>(n), 0);
-  }
+  DagReach reach;
+  reach.through.assign(bits, Bitset(bits));
+  reach.descendants.assign(bits, Bitset(bits));
+  reach.workload.assign(bits, 0);
 
   // Process vertices in increasing dist order; every parent has strictly
   // smaller dist, so its through-set is already final.
@@ -73,10 +61,8 @@ void compute_dag_reach(const ShortestPathDag& dag, DagReach& reach) {
     }
   }
 
-  // Transpose: descendants[p] = { posts v : p in through[v] }.  Iterate
-  // members word-wise instead of testing all n bits per vertex: Phase II
-  // rebuilds this closure per trimming step, and the per-bit transpose was
-  // the dominant cost of whole RFH solves at 1e4+ posts.
+  // Transpose: descendants[p] = { posts v : p in through[v] }, iterating
+  // members word-wise instead of testing all n bits per vertex.
   for (int v = 0; v < n; ++v) {
     if (v == dag.base_station) continue;
     reach.through[static_cast<std::size_t>(v)].for_each_set_bit([&](std::size_t p) {
@@ -87,6 +73,7 @@ void compute_dag_reach(const ShortestPathDag& dag, DagReach& reach) {
     reach.workload[static_cast<std::size_t>(p)] =
         static_cast<int>(reach.descendants[static_cast<std::size_t>(p)].count());
   }
+  return reach;
 }
 
 }  // namespace wrsn::graph

@@ -406,10 +406,4 @@ struct DagReach {
 /// produced by shortest_paths_to_base, preserved by edge deletion).
 DagReach compute_dag_reach(const ShortestPathDag& dag);
 
-/// In-place variant: recomputes the closure into `reach`, reusing its
-/// bitset storage when the shape matches.  RFH Phase II refreshes the
-/// closure once per trimming step in the worst case; reallocating ~2n
-/// n-bit sets per refresh dominated whole solves at 1e4 posts.
-void compute_dag_reach(const ShortestPathDag& dag, DagReach& reach);
-
 }  // namespace wrsn::graph

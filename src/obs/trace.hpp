@@ -37,7 +37,7 @@ struct TraceEvent {
   /// (obs/perf_probe.hpp); `perf.counters_available` distinguishes real
   /// hardware readings from the allocation-only degraded mode.
   bool has_perf = false;
-  PerfCounters perf;
+  PerfCounters perf{};
 };
 
 /// Thread-safe append-only collection of completed spans.

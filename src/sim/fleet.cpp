@@ -22,7 +22,7 @@ int FleetSim::num_chargers() const noexcept { return sim_->num_chargers(); }
 
 int fleet_size_lower_bound(const core::Instance& instance, const core::Solution& solution,
                            const ChargerConfig& charger, int bits_per_round) {
-  const PatrolFeasibility one = analyze_patrol(instance, solution, charger, bits_per_round);
+  const PatrolFeasibility one = patrol_demand(instance, solution, charger, bits_per_round);
   return std::max(1, static_cast<int>(std::ceil(one.duty)));
 }
 

@@ -51,20 +51,38 @@ TourPlan plan_tour(const geom::Field& field) {
     current = best;
   }
 
-  // 2-opt: reverse segments while that shortens the closed tour. Vertices
-  // at positions i-1 .. j+1 with the depot at the virtual ends.
-  auto at = [&](int pos) {
-    return pos < 0 || pos >= n ? -1 : plan.order[static_cast<std::size_t>(pos)];
-  };
+  // 2-opt: reverse segments while that shortens the closed tour.  The
+  // stops are kept in visiting order with the depot at both ends (pts[k]
+  // is tour position k-1), and legs[k] caches the leg pts[k] -> pts[k+1],
+  // so the removed legs cost two lookups.  Distances are symmetric to the
+  // bit, so a reversal just reverses the stops and the legs inside it.
+  std::vector<geom::Point> pts(static_cast<std::size_t>(n) + 2, field.base_station);
+  for (int k = 0; k < n; ++k) {
+    pts[static_cast<std::size_t>(k) + 1] = field.posts[static_cast<std::size_t>(
+        plan.order[static_cast<std::size_t>(k)])];
+  }
+  std::vector<double> legs(static_cast<std::size_t>(n) + 1);
+  for (std::size_t k = 0; k < legs.size(); ++k) legs[k] = geom::distance(pts[k], pts[k + 1]);
   bool improved = true;
   while (improved) {
     improved = false;
-    for (int i = 0; i < n - 1; ++i) {
+    for (int i = 0; i + 1 < n; ++i) {
       for (int j = i + 1; j < n; ++j) {
-        const double before = leg(field, at(i - 1), at(i)) + leg(field, at(j), at(j + 1));
-        const double after = leg(field, at(i - 1), at(j)) + leg(field, at(i), at(j + 1));
-        if (after < before - 1e-9) {
+        // Exchange legs (i-1, i) and (j, j+1) for (i-1, j) and (i, j+1).
+        const auto u = static_cast<std::size_t>(i);
+        const auto v = static_cast<std::size_t>(j);
+        const double before = legs[u] + legs[v + 1];
+        // The second new leg is >= 0, so a first new leg that alone fails
+        // the test rules the exchange out without pricing the second.
+        const double first = geom::distance(pts[u], pts[v + 1]);
+        if (first >= before - 1e-9) continue;
+        const double second = geom::distance(pts[u + 1], pts[v + 2]);
+        if (first + second < before - 1e-9) {
           std::reverse(plan.order.begin() + i, plan.order.begin() + j + 1);
+          std::reverse(pts.begin() + i + 1, pts.begin() + j + 2);
+          std::reverse(legs.begin() + i + 1, legs.begin() + j + 1);
+          legs[u] = first;
+          legs[v + 1] = second;
           improved = true;
         }
       }
@@ -81,20 +99,27 @@ TourPlan plan_tour(const core::Instance& instance) {
   return plan_tour(*instance.field());
 }
 
-PatrolFeasibility analyze_patrol(const core::Instance& instance, const core::Solution& solution,
-                                 const ChargerConfig& charger, int bits_per_round) {
+PatrolFeasibility patrol_demand(const core::Instance& instance, const core::Solution& solution,
+                                const ChargerConfig& charger, int bits_per_round) {
   if (bits_per_round <= 0) throw std::invalid_argument("bits_per_round must be positive");
   if (!core::is_valid_solution(instance, solution)) {
-    throw std::invalid_argument("analyze_patrol requires a valid solution");
+    throw std::invalid_argument("patrol analysis requires a valid solution");
   }
-
   PatrolFeasibility analysis;
   const double cost_per_bit = core::total_recharging_cost(instance, solution);
   analysis.demand_w = cost_per_bit * bits_per_round / charger.round_period_s;
   analysis.duty = analysis.demand_w / charger.radiated_power_w;
   analysis.feasible = analysis.duty < 1.0;
+  return analysis;
+}
 
-  const TourPlan tour = plan_tour(instance);
+PatrolFeasibility analyze_patrol(const core::Instance& instance, const core::Solution& solution,
+                                 const ChargerConfig& charger, int bits_per_round,
+                                 const TourPlan& tour) {
+  PatrolFeasibility analysis = patrol_demand(instance, solution, charger, bits_per_round);
+  if (tour.order.size() != static_cast<std::size_t>(instance.num_posts())) {
+    throw std::invalid_argument("analyze_patrol needs a tour over every post");
+  }
   analysis.travel_time_s = tour.length_m / charger.speed_mps;
   if (analysis.feasible) {
     analysis.cycle_time_s = analysis.travel_time_s / (1.0 - analysis.duty);

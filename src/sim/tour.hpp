@@ -54,10 +54,16 @@ struct PatrolFeasibility {
   double demand_w = 0.0;
 };
 
+/// The tour-independent part of analyze_patrol(): fills demand_w, duty and
+/// feasible and leaves the travel, cycle and battery fields zero.
+PatrolFeasibility patrol_demand(const core::Instance& instance, const core::Solution& solution,
+                                const ChargerConfig& charger, int bits_per_round);
+
 /// Analyzes a plan under `charger` parameters and `bits_per_round` traffic.
 /// Uses the solution's deployment/routing for the per-post energy rates and
-/// plan_tour() for the travel distance.
+/// `tour` (normally plan_tour() of the instance) for the travel distance.
 PatrolFeasibility analyze_patrol(const core::Instance& instance, const core::Solution& solution,
-                                 const ChargerConfig& charger, int bits_per_round);
+                                 const ChargerConfig& charger, int bits_per_round,
+                                 const TourPlan& tour);
 
 }  // namespace wrsn::sim

@@ -86,9 +86,9 @@ PlanOutcome run_plan(const core::Instance& instance, const PlanOptions& options,
   sim::ChargerConfig charger;
   charger.radiated_power_w = options.charger_power_w;
   charger.speed_mps = options.charger_speed_mps;
-  outcome.feasibility =
-      sim::analyze_patrol(instance, outcome.solution, charger, options.bits_per_report);
   outcome.tour = sim::plan_tour(instance);
+  outcome.feasibility = sim::analyze_patrol(instance, outcome.solution, charger,
+                                            options.bits_per_report, outcome.tour);
   outcome.bits_per_report = options.bits_per_report;
   return outcome;
 }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -88,6 +90,95 @@ TEST(LagrangeAllocate, SymmetricWeightsSplitEvenly) {
   const std::vector<double> weights{2.0, 2.0, 2.0, 2.0};
   const auto alloc = lagrange_allocate(weights, 12);
   EXPECT_EQ(alloc, (std::vector<int>{3, 3, 3, 3}));
+}
+
+TEST(LagrangeAllocate, GoldenAllocations) {
+  // Exact allocations recorded before the single-sqrt, allocation-free
+  // rounding loop: every share and so every rounded count must match.
+  // Covers zero weights, the all-zero split, exact ties and long vectors
+  // (pinned by an FNV-1a hash over the counts).
+  EXPECT_EQ(lagrange_allocate(std::vector<double>{3.0, 1.0, 0.2, 8.0}, 17),
+            (std::vector<int>{5, 3, 1, 8}));
+  EXPECT_EQ(lagrange_allocate(std::vector<double>{0.0, 2.5, 0.0, 7.0, 1e-3, 0.0, 4.0}, 20),
+            (std::vector<int>{1, 4, 1, 7, 1, 1, 5}));
+  EXPECT_EQ(lagrange_allocate(std::vector<double>{0.0, 0.0, 0.0, 0.0, 0.0}, 13),
+            (std::vector<int>{3, 3, 2, 3, 2}));
+  EXPECT_EQ(lagrange_allocate(std::vector<double>{2.0, 0.0, 2.0, 2.0, 0.0, 2.0, 2.0}, 23),
+            (std::vector<int>{4, 1, 4, 4, 1, 5, 4}));
+
+  const auto hash = [](const std::vector<int>& counts) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const int m : counts) {
+      h ^= static_cast<std::uint32_t>(m);
+      h *= 0x100000001b3ULL;
+    }
+    return h;
+  };
+  struct Golden {
+    int n;
+    int budget;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  // Weights mix zeros, small-integer ties (the Bits workload) and spread
+  // reals (the Energy workload).
+  const std::vector<Golden> goldens = {
+      {50, 173, 11, 5048106177146876354ULL},
+      {300, 900, 12, 5638572272002791279ULL},
+      {2000, 6000, 13, 12905032270361583001ULL},
+  };
+  for (const Golden& golden : goldens) {
+    util::Rng rng(golden.seed);
+    std::vector<double> weights;
+    for (int i = 0; i < golden.n; ++i) {
+      const int kind = rng.uniform_int(0, 9);
+      weights.push_back(kind == 0   ? 0.0
+                        : kind < 5 ? static_cast<double>(rng.uniform_int(1, 6))
+                                   : rng.uniform(1e-7, 3e-5));
+    }
+    const std::vector<int> alloc = lagrange_allocate(weights, golden.budget);
+    EXPECT_EQ(std::accumulate(alloc.begin(), alloc.end(), 0), golden.budget);
+    EXPECT_EQ(hash(alloc), golden.hash) << golden.n << " posts";
+  }
+}
+
+TEST(LagrangeAllocate, MatchesPerRoundRelaxationOracle) {
+  // The paper's rounding read literally: re-solve fractional_allocation()
+  // over the open posts every round.  lagrange_allocate must reproduce it
+  // exactly, ties and zero weights included.
+  const auto oracle = [](const std::vector<double>& weights, int total) {
+    std::vector<int> result(weights.size(), 0);
+    std::vector<std::size_t> open(weights.size());
+    std::iota(open.begin(), open.end(), std::size_t{0});
+    int remaining = total;
+    while (!open.empty()) {
+      std::vector<double> open_weights;
+      for (const std::size_t i : open) open_weights.push_back(weights[i]);
+      const std::vector<double> shares =
+          fractional_allocation(open_weights, static_cast<double>(remaining));
+      const std::size_t k = static_cast<std::size_t>(
+          std::min_element(shares.begin(), shares.end()) - shares.begin());
+      const int assigned = std::clamp(static_cast<int>(std::llround(shares[k])), 1,
+                                      remaining - static_cast<int>(open.size()) + 1);
+      result[open[k]] = assigned;
+      remaining -= assigned;
+      open.erase(open.begin() + static_cast<std::ptrdiff_t>(k));
+    }
+    return result;
+  };
+  util::Rng rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = rng.uniform_int(1, 60);
+    std::vector<double> weights;
+    for (int i = 0; i < n; ++i) {
+      const int kind = rng.uniform_int(0, 3);
+      weights.push_back(kind == 0   ? 0.0
+                        : kind == 1 ? static_cast<double>(rng.uniform_int(1, 3))
+                                    : rng.uniform(0.0, 5.0));
+    }
+    const int total = n + rng.uniform_int(0, 4 * n);
+    ASSERT_EQ(lagrange_allocate(weights, total), oracle(weights, total)) << "trial " << trial;
+  }
 }
 
 TEST(AllocationObjective, MatchesManual) {

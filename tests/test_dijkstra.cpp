@@ -43,6 +43,23 @@ TEST(Bitset, UnionAccumulates) {
   EXPECT_EQ(a.count(), 2u);
 }
 
+TEST(Bitset, IntersectionAndDifference) {
+  Bitset a(130);
+  Bitset b(130);
+  for (const std::size_t i : {1u, 64u, 65u, 129u}) a.set(i);
+  for (const std::size_t i : {1u, 65u, 100u}) b.set(i);
+  Bitset both = a;
+  both &= b;
+  EXPECT_EQ(both.count(), 2u);
+  EXPECT_TRUE(both.test(1));
+  EXPECT_TRUE(both.test(65));
+  a.and_not(b);
+  EXPECT_EQ(a.count(), 2u);
+  EXPECT_TRUE(a.test(64));
+  EXPECT_TRUE(a.test(129));
+  EXPECT_FALSE(a.test(100));
+}
+
 TEST(Dijkstra, ChainDistances) {
   // 0 -> 1 -> 2 -> base(3), each edge weight 1.
   ReachGraph g(3);

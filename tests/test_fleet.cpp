@@ -123,9 +123,27 @@ TEST(FleetLowerBound, MatchesDutyCeiling) {
   const PlanFixture plan = make_plan(8, 24, 120.0, 6);
   ChargerConfig charger_cfg;
   charger_cfg.radiated_power_w = 1.0;
-  const auto analysis = analyze_patrol(plan.instance, plan.solution, charger_cfg, 65536);
+  const auto analysis = analyze_patrol(plan.instance, plan.solution, charger_cfg, 65536,
+                                       plan_tour(plan.instance));
   const int bound = fleet_size_lower_bound(plan.instance, plan.solution, charger_cfg, 65536);
   EXPECT_EQ(bound, std::max(1, static_cast<int>(std::ceil(analysis.duty))));
+}
+
+TEST(FleetLowerBound, NeedsNoTour) {
+  // The bound reads only the duty cycle, which does not depend on the
+  // tour: it must work on an abstract instance, where no tour exists.
+  graph::ReachGraph g(2);
+  g.set_min_level(0, 2, 0);
+  g.set_min_level(1, 0, 0);
+  const core::Instance inst = core::Instance::abstract(
+      g, energy::RadioModel::from_energies({1e-4}, 5e-5), test::paper_charging(), 4);
+  const core::Solution solution = core::solve_rfh(inst).solution;
+  ASSERT_THROW(plan_tour(inst), std::invalid_argument);
+  ChargerConfig charger_cfg;
+  charger_cfg.radiated_power_w = 1e-3;
+  const double duty = patrol_demand(inst, solution, charger_cfg, 4096).duty;
+  EXPECT_EQ(fleet_size_lower_bound(inst, solution, charger_cfg, 4096),
+            std::max(1, static_cast<int>(std::ceil(duty))));
 }
 
 TEST(FindMinFleet, FindsAWorkingSizeAtMostMax) {

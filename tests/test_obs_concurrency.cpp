@@ -62,7 +62,8 @@ TEST(ObsConcurrency, StreamSinkLinesStayAtomicAndOrdered) {
   util::ThreadPool pool(8);
   constexpr std::int64_t kEvents = 4000;
   pool.parallel_for(kEvents, [&](std::int64_t begin, std::int64_t end, int worker) {
-    const std::string source = "w" + std::to_string(worker);
+    std::string source = "w";
+    source += std::to_string(worker);
     for (std::int64_t i = begin; i < end; ++i) {
       obs::ProgressEvent event(source);
       event.add("i", static_cast<double>(i));

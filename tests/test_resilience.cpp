@@ -111,7 +111,9 @@ TEST(Resilience, InjectedDestructionReroutesOrphans) {
     if (!sim.post_alive(p)) continue;
     EXPECT_EQ(sim.post_connected(p), reachable[static_cast<std::size_t>(p)]) << "post " << p;
     // A connected survivor's parent chain must avoid the destroyed post.
-    if (sim.post_connected(p)) EXPECT_NE(sim.routing().parent(p), victim);
+    if (sim.post_connected(p)) {
+      EXPECT_NE(sim.routing().parent(p), victim);
+    }
   }
   expect_conservation(sim, inst);
 }

@@ -6,8 +6,11 @@
 #include <cmath>
 #include <numeric>
 
+#include "core/allocation.hpp"
 #include "core/baseline.hpp"
+#include "graph/bitset.hpp"
 #include "helpers.hpp"
+#include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 
 namespace wrsn::core {
@@ -105,6 +108,155 @@ TEST(TrimFatTree, PreservesShortestPathCosts) {
       }
       EXPECT_NEAR(cost, dist[static_cast<std::size_t>(p)],
                   dist[static_cast<std::size_t>(p)] * 1e-9);
+    }
+  }
+}
+
+/// Phase II's selection: the unprocessed post with the largest workload,
+/// the lowest index among equals.
+int busiest_unprocessed(const std::vector<int>& workload, const std::vector<char>& processed) {
+  int p = -1;
+  for (int v = 0; v + 1 < static_cast<int>(workload.size()); ++v) {
+    if (processed[static_cast<std::size_t>(v)]) continue;
+    if (p < 0 || workload[static_cast<std::size_t>(v)] > workload[static_cast<std::size_t>(p)]) {
+      p = v;
+    }
+  }
+  return p;
+}
+
+/// Phase II as the paper states it: every workload is recomputed from the
+/// current DAG (compute_dag_reach) before each selection.  The oracle for
+/// trim_fat_tree's incrementally maintained closure; the trimming of each
+/// selected post's subtree is the same partition, so parent lists compare
+/// in order.
+graph::RoutingTree eager_trim(ShortestPathDag& dag) {
+  const int n_posts = dag.num_vertices() - 1;
+  const int bs = dag.base_station;
+  std::vector<char> processed(static_cast<std::size_t>(dag.num_vertices()), 0);
+  processed[static_cast<std::size_t>(bs)] = 1;
+  for (int step = 0; step < n_posts; ++step) {
+    const graph::DagReach reach = graph::compute_dag_reach(dag);
+    const int p = busiest_unprocessed(reach.workload, processed);
+    processed[static_cast<std::size_t>(p)] = 1;
+    const graph::Bitset& desc = reach.descendants[static_cast<std::size_t>(p)];
+    desc.for_each_set_bit([&](std::size_t d) {
+      auto& parents = dag.parents[d];
+      parents.erase(std::partition(parents.begin(), parents.end(),
+                                   [&](int q) {
+                                     return q == p ||
+                                            (q != bs && desc.test(static_cast<std::size_t>(q)));
+                                   }),
+                    parents.end());
+    });
+  }
+  const graph::DagReach reach = graph::compute_dag_reach(dag);
+  graph::RoutingTree tree(n_posts, bs);
+  for (int v = 0; v < n_posts; ++v) {
+    const auto& parents = dag.parents[static_cast<std::size_t>(v)];
+    int best = parents.front();
+    for (int q : parents) {
+      if (reach.workload[static_cast<std::size_t>(q)] >
+          reach.workload[static_cast<std::size_t>(best)]) {
+        best = q;
+      }
+    }
+    tree.set_parent(v, best);
+  }
+  return tree;
+}
+
+/// Runs trim_fat_tree and the eager oracle on copies of `dag`; both must
+/// trim the same parent lists and pick the same tree, with exactly one
+/// closure build for the incremental run.
+void expect_matches_eager(const ShortestPathDag& dag, const std::string& label) {
+  obs::Counter& rebuilds = obs::Registry::global().counter("rfh/closure_rebuilds");
+  ShortestPathDag incremental = dag;
+  ShortestPathDag eager = dag;
+  const std::uint64_t before = rebuilds.value();
+  const graph::RoutingTree tree = rfh_detail::trim_fat_tree(incremental);
+  EXPECT_EQ(rebuilds.value(), before + 1) << label;
+  const graph::RoutingTree oracle = eager_trim(eager);
+  EXPECT_EQ(incremental.parents, eager.parents) << label;
+  for (int v = 0; v < tree.num_posts(); ++v) {
+    ASSERT_EQ(tree.parent(v), oracle.parent(v)) << label << " post " << v;
+  }
+}
+
+/// Steps Phase II through `dag` with trim_subtree and checks after every
+/// step that the in-place closure -- through sets included, which no
+/// selection reads directly -- equals a fresh compute_dag_reach.
+void expect_closure_stays_exact(ShortestPathDag dag, const std::string& label) {
+  graph::DagReach reach = graph::compute_dag_reach(dag);
+  std::vector<char> processed(static_cast<std::size_t>(dag.num_vertices()), 0);
+  processed[static_cast<std::size_t>(dag.base_station)] = 1;
+  for (int step = 0; step + 1 < dag.num_vertices(); ++step) {
+    const int p = busiest_unprocessed(reach.workload, processed);
+    processed[static_cast<std::size_t>(p)] = 1;
+    rfh_detail::trim_subtree(dag, reach, p);
+    const graph::DagReach fresh = graph::compute_dag_reach(dag);
+    ASSERT_EQ(reach.workload, fresh.workload) << label << " step " << step;
+    ASSERT_TRUE(reach.through == fresh.through) << label << " step " << step;
+    ASSERT_TRUE(reach.descendants == fresh.descendants) << label << " step " << step;
+  }
+}
+
+TEST(TrimFatTree, IncrementalClosureMatchesEagerOracleOnTies) {
+  // Every post below the top has two parents, and workloads tie at every
+  // level: 6 and 7 each carry six posts, 3, 4 and 5 two each.  Selection
+  // takes the lowest index among equals, so 6 wins, then 3, then 4.
+  const auto dag = make_dag(8, {3.0, 3.0, 3.0, 2.0, 2.0, 2.0, 1.0, 1.0, 0.0},
+                            {{3, 4}, {4, 5}, {3, 5}, {6, 7}, {6, 7}, {6, 7}, {8}, {8}, {}});
+  expect_matches_eager(dag, "hand-built");
+  expect_closure_stays_exact(dag, "hand-built");
+  auto trimmed = dag;
+  const graph::RoutingTree tree = rfh_detail::trim_fat_tree(trimmed);
+  const std::vector<int> expected = {3, 4, 3, 6, 6, 6, 8, 8};
+  for (int v = 0; v < 8; ++v) EXPECT_EQ(tree.parent(v), expected[static_cast<std::size_t>(v)]);
+}
+
+TEST(TrimFatTree, IncrementalClosureMatchesEagerOracle) {
+  // Random fields at the paper's N = 300 density, under both storage
+  // layouts, for the first (energy-weighted) Phase I DAG and for a
+  // charging-aware DAG priced from that pass's Phase IV deployment --
+  // the DAGs iterative RFH actually trims.  Both checks are cubic, so the
+  // 3000-post field runs one case against the eager oracle: sparse
+  // storage (what from_field picks at that size) and the charging-aware
+  // DAG (six of RFH's seven passes).
+  using Storage = graph::ReachGraph::Storage;
+  util::Rng rng(131);
+  const auto radio = test::paper_radio();
+  for (const int posts : {50, 300, 1000, 3000}) {
+    const bool largest = posts == 3000;
+    geom::FieldConfig cfg;
+    cfg.width = cfg.height = std::round(500.0 * std::sqrt(posts / 300.0));
+    cfg.num_posts = posts;
+    geom::Field field = geom::generate_field(cfg, rng);
+    while (!geom::is_connected(field, radio.max_range())) {
+      field = geom::generate_field(cfg, rng);
+    }
+    for (const Storage storage : {Storage::kDense, Storage::kSparse}) {
+      if (largest && storage == Storage::kDense) continue;
+      const Instance inst =
+          Instance::abstract(graph::ReachGraph::from_field(field, radio, storage), radio,
+                             test::paper_charging(), 3 * posts);
+      const std::string label = std::to_string(posts) + " posts, " +
+                                (inst.graph().is_sparse() ? "sparse" : "dense");
+      const ShortestPathDag energy_dag = graph::shortest_paths_to_base(
+          inst.graph(), inst.adjacency(), EnergyWeight(inst, false));
+      if (!largest) {
+        expect_matches_eager(energy_dag, label + ", energy");
+        expect_closure_stays_exact(energy_dag, label + ", energy");
+      }
+
+      ShortestPathDag first_pass = energy_dag;
+      const graph::RoutingTree tree = rfh_detail::trim_fat_tree(first_pass);
+      const std::vector<int> deployment =
+          lagrange_allocate(per_post_energy(inst, tree), inst.num_nodes());
+      const ShortestPathDag charging_dag = graph::shortest_paths_to_base(
+          inst.graph(), inst.adjacency(), RechargingWeight(inst, deployment));
+      expect_matches_eager(charging_dag, label + ", charging-aware");
+      if (!largest) expect_closure_stays_exact(charging_dag, label + ", charging-aware");
     }
   }
 }
