@@ -5,6 +5,8 @@
 // grows, and how tight is the analytic duty-cycle lower bound B*C/(tau*P)?
 #include "common.hpp"
 #include "core/rfh.hpp"
+#include "sim/charger_sim.hpp"
+#include "sim/charging_policy.hpp"
 #include "sim/fleet.hpp"
 
 using namespace wrsn;
@@ -50,7 +52,7 @@ int main(int argc, char** argv) {
       min_fleet.add(k);
       if (k <= 10) {
         sim::NetworkSim net(inst, plan.solution, net_cfg);
-        sim::FleetSim fleet(net, charger_cfg, k);
+        sim::ChargerSim fleet(net, charger_cfg, k, sim::make_charging_policy("nearest-deficit"));
         fleet.run(rounds);
         duty.add(fleet.stats().radiated_j /
                  (charger_cfg.radiated_power_w * k * fleet.stats().rounds *

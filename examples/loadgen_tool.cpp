@@ -1,5 +1,5 @@
 // Load generator for wrsn_serve (docs/service.md): the measurement half of
-// BENCH_service.json and the CI service smoke job.
+// the CI service smoke job.
 //
 // Modes:
 //   --once        one request, print the reply (the README quickstart)

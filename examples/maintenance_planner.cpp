@@ -16,6 +16,7 @@
 #include "core/failures.hpp"
 #include "core/idb.hpp"
 #include "sim/fleet.hpp"
+#include "sim/tour.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 

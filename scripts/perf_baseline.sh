@@ -2,13 +2,15 @@
 # Rebuilds a benchmark family in Release mode and refreshes its committed
 # BENCH_<family>.json baseline at the repo root.
 #
-# Usage:  scripts/perf_baseline.sh [--bench hotpaths|policy|exact|service]
+# Usage:  scripts/perf_baseline.sh [--bench hotpaths|policy|exact]
 #                                  [--runs N] [--scale paper|ci] [bench flags...]
 #
 #   --bench hotpaths   micro_hotpaths           -> BENCH_hotpaths.json (default)
 #   --bench policy     ablation_charging_policy -> BENCH_policy.json
 #   --bench exact      exact_frontier           -> BENCH_exact.json
-#   --bench service    service_throughput       -> BENCH_service.json
+#
+# The planning daemon is measured by perfbench's `service` workload
+# (python3 perfbench/run.py --workload service), not by a baseline here.
 #
 # Extra flags (e.g. --threads 4, --benchmark_filter=...) are passed through to
 # the selected binary; --runs maps to --benchmark_repetitions.
@@ -23,16 +25,15 @@ build_dir="${repo_root}/build-bench"
 
 bench="hotpaths"
 if [[ "${1:-}" == "--bench" ]]; then
-  bench="${2:?--bench needs a family: hotpaths|policy|exact|service}"
+  bench="${2:?--bench needs a family: hotpaths|policy|exact}"
   shift 2
 fi
 case "${bench}" in
   hotpaths) target="micro_hotpaths" ;;
   policy)   target="ablation_charging_policy" ;;
   exact)    target="exact_frontier" ;;
-  service)  target="service_throughput" ;;
   *)
-    echo "error: unknown --bench family '${bench}' (hotpaths|policy|exact|service)" >&2
+    echo "error: unknown --bench family '${bench}' (hotpaths|policy|exact)" >&2
     exit 2
     ;;
 esac

@@ -339,7 +339,12 @@ void DeploymentPricer::repair_increase(int a, const std::vector<double>& inv,
   // Invalidate the region, then re-seed every region vertex from its intact
   // (out-of-region) neighbors; distances outside the region are exact for
   // the new weights because only edges incident to `a` got more expensive.
-  for (int v : region_) dist[static_cast<std::size_t>(v)] = graph::kInfinity;
+  // A vertex nothing re-attaches keeps parent -1: its old parent may be a
+  // region vertex that is now gone or routes back through it.
+  for (int v : region_) {
+    dist[static_cast<std::size_t>(v)] = graph::kInfinity;
+    if (parents != nullptr) (*parents)[static_cast<std::size_t>(v)] = -1;
+  }
   for (int v : region_) {
     double best = graph::kInfinity;
     int best_parent = -1;

@@ -89,19 +89,17 @@ graph::RoutingTree trim_fat_tree(graph::ShortestPathDag& dag) {
     trim_subtree(dag, reach, p);
   }
 
-  // Posts may retain several same-cost parents only in exact-tie corner
-  // cases; resolve deterministically toward the busiest parent.
+  // Every post keeps exactly one parent.  Were v to keep q1 and q2, q1
+  // trimmed first, then q2 lies in desc(q1) and later q1 in desc(q2): each
+  // farther from the base than the other.  A base-station parent beside q
+  // goes when q is trimmed, since the base is never in desc(q).
   graph::RoutingTree tree(n_posts, bs);
   for (int v = 0; v < n_posts; ++v) {
     const auto& parents = dag.parents[static_cast<std::size_t>(v)];
-    if (parents.empty()) throw std::logic_error("post lost all parents during trimming");
-    int best = parents.front();
-    for (int q : parents) {
-      if (workload[static_cast<std::size_t>(q)] > workload[static_cast<std::size_t>(best)]) {
-        best = q;
-      }
+    if (parents.size() != 1) {
+      throw std::logic_error("Phase II left a post without exactly one parent");
     }
-    tree.set_parent(v, best);
+    tree.set_parent(v, parents.front());
   }
   if (!tree.is_valid()) throw std::logic_error("Phase II produced an invalid tree");
   return tree;

@@ -73,6 +73,11 @@ std::vector<int> RoutingTree::depths() const {
     std::vector<int> chain;
     int v = p;
     while (v != base_station_ && depth[static_cast<std::size_t>(v)] < 0) {
+      // Without a cycle the chain holds distinct posts; set_parent does not
+      // rule cycles out, so bound the walk as is_ancestor does.
+      if (chain.size() == static_cast<std::size_t>(num_posts_)) {
+        throw std::logic_error("depths() found a parent cycle");
+      }
       chain.push_back(v);
       v = parent_[static_cast<std::size_t>(v)];
       if (v == kNoParent) throw std::logic_error("depths() requires a complete tree");

@@ -41,7 +41,8 @@ class RoutingTree {
   /// originates one more per round. Requires a valid tree.
   std::vector<int> descendant_counts() const;
 
-  /// Hop count from each post to the base station (>= 1).
+  /// Hop count from each post to the base station (>= 1).  Throws
+  /// std::logic_error on an unset parent or a parent cycle.
   std::vector<int> depths() const;
 
   /// Posts ordered so every post appears after all posts in its subtree

@@ -1,6 +1,6 @@
-// Mobile wireless charger patrol (makes Section III's standing assumption
-// "sensor nodes can always be recharged in time" an executable, checkable
-// property).
+// Mobile wireless charger parameters (makes Section III's standing
+// assumption "sensor nodes can always be recharged in time" an executable,
+// checkable property).
 //
 // A charger starts at the base station, watches post battery levels, and
 // when a post falls below the low watermark it drives there (travel time =
@@ -8,23 +8,12 @@
 // above the high watermark.  A post holding m nodes absorbs the radiated
 // power with efficiency k(m)*eta -- each node receives eta * P watts -- so
 // the long-run radiated-energy-per-round converges to the analytic total
-// recharging cost, which the integration tests verify.
-//
-// PatrolSim is nowadays a thin facade over the unified ChargerSim engine
-// (sim/charger_sim.hpp) running one charger under the legacy
-// `nearest-deficit:tiebreak=distance` policy -- bit-identical to the
-// original hand-coded dispatch, pinned by tests/test_charging_policy.cpp.
+// recharging cost, which the integration tests verify.  The engine that
+// runs chargers is sim::ChargerSim (sim/charger_sim.hpp); the single-charger
+// patrol is its `nearest-deficit:tiebreak=distance` policy with one charger.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-
-#include "geom/point.hpp"
-#include "sim/network_sim.hpp"
-
 namespace wrsn::sim {
-
-class ChargerSim;
 
 struct ChargerConfig {
   double speed_mps = 5.0;          ///< travel speed (vehicle/robot)
@@ -33,40 +22,6 @@ struct ChargerConfig {
   double low_watermark = 0.5;      ///< dispatch when min node fraction < this
   double high_watermark = 0.95;    ///< charge until min node fraction >= this
   double round_period_s = 60.0;    ///< network reporting period
-};
-
-struct ChargerStats {
-  double radiated_j = 0.0;  ///< total RF energy disseminated (the paper's cost)
-  double travel_j = 0.0;    ///< locomotion energy (not part of the paper metric)
-  double distance_m = 0.0;
-  std::uint64_t visits = 0;
-  std::uint64_t rounds = 0;
-  bool any_death = false;
-
-  /// Radiated energy per reporting round -- comparable to the analytic
-  /// total recharging cost times bits_per_report.
-  double radiated_per_round() const {
-    return rounds ? radiated_j / static_cast<double>(rounds) : 0.0;
-  }
-};
-
-/// Co-simulation of a NetworkSim and one mobile charger.
-class PatrolSim {
- public:
-  PatrolSim(NetworkSim& network, const ChargerConfig& config = {});
-  ~PatrolSim();
-  PatrolSim(PatrolSim&&) noexcept;
-  PatrolSim& operator=(PatrolSim&&) noexcept;
-
-  /// Runs `rounds` reporting rounds of co-simulation.
-  void run(std::uint64_t rounds);
-
-  const ChargerStats& stats() const noexcept;
-  double now() const noexcept;
-
- private:
-  std::unique_ptr<ChargerSim> sim_;
-  mutable ChargerStats stats_;
 };
 
 }  // namespace wrsn::sim

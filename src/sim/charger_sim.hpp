@@ -1,12 +1,12 @@
-// Unified mobile-charger simulation engine.
+// Mobile-charger simulation engine.
 //
-// One engine replaces the former PatrolSim/FleetSim pair (which duplicated
-// the Idle/Traveling/Charging state machine and hard-coded nearest-deficit
-// dispatch): K chargers co-simulate with a NetworkSim on the shared
-// EventQueue, and *what* to dispatch is delegated to a pluggable
-// sim::ChargingPolicy (sim/charging_policy.hpp).  Fleet size 1 under the
-// legacy policy is the old patrol; any K under the default policy is the
-// old fleet -- both pinned bit-identical by tests/test_charging_policy.cpp.
+// K chargers, each an Idle/Traveling/Charging state machine, co-simulate
+// with a NetworkSim on the shared EventQueue; *what* to dispatch is
+// delegated to a pluggable sim::ChargingPolicy (sim/charging_policy.hpp).
+// One charger under `nearest-deficit:tiebreak=distance` is the classic
+// single-charger patrol, and any K under `nearest-deficit` the classic fleet
+// -- both pinned bit-identical to frozen reference simulators by
+// tests/test_charging_policy.cpp.
 //
 // The engine can additionally carry *fixed* RF charger infrastructure (the
 // output of core::place_chargers): each fixed charger radiates continuously
@@ -42,8 +42,7 @@ struct FixedCharger {
   double coverage_radius_m = 50.0;
 };
 
-/// Aggregate + per-charger statistics of a ChargerSim run.  Field names are
-/// stable: this is the former FleetStats (sim/fleet.hpp aliases it).
+/// Aggregate + per-charger statistics of a ChargerSim run.
 struct ChargerSimStats {
   double radiated_j = 0.0;  ///< mobile RF energy disseminated (the paper's cost)
   double travel_j = 0.0;    ///< locomotion energy (not part of the paper metric)

@@ -58,11 +58,11 @@ const core::Instance& PolicyContext::instance() const { return sim_->network_->i
 
 namespace {
 
-/// Replicates the legacy FleetSim pairing loop: repeatedly pair the
-/// most-urgent unclaimed post (urgency strictly below `watermark`, first
-/// index wins ties) with the nearest idle charger (ascending index breaks
-/// distance ties) until either side runs out.  `urgency` defaulting to
-/// min_fraction makes this bit-identical to the old dispatch_all.
+/// The fleet pairing loop: repeatedly pair the most-urgent unclaimed post
+/// (urgency strictly below `watermark`, first index wins ties) with the
+/// nearest idle charger (ascending index breaks distance ties) until either
+/// side runs out.  With `urgency` = min_fraction this is bit-identical to
+/// the frozen reference fleet in tests/test_charging_policy.cpp.
 template <class UrgencyFn>
 void pair_most_urgent(const PolicyContext& ctx, double watermark, UrgencyFn&& urgency,
                       std::vector<DispatchDecision>& out) {
@@ -104,8 +104,8 @@ void pair_most_urgent(const PolicyContext& ctx, double watermark, UrgencyFn&& ur
   }
 }
 
-/// Replicates the legacy PatrolSim pick_target rule, generalized to a fleet
-/// by letting each idle charger (ascending index) pick in turn: smallest
+/// The single-charger patrol's target rule, generalized to a fleet by
+/// letting each idle charger (ascending index) pick in turn: smallest
 /// min-fraction wins, distance breaks epsilon-ties (nearer wins).
 void pick_per_charger_distance(const PolicyContext& ctx, std::vector<DispatchDecision>& out) {
   const int posts = ctx.num_posts();
@@ -139,9 +139,9 @@ void pick_per_charger_distance(const PolicyContext& ctx, std::vector<DispatchDec
 // ---------------------------------------------------------------------------
 // Built-in policies.
 
-/// The legacy behavior, extracted: most-urgent-deficit-first dispatch.
-/// tiebreak=urgency (default) is the old FleetSim rule at any fleet size;
-/// tiebreak=distance is the old single-charger PatrolSim rule.
+/// Most-urgent-deficit-first dispatch.  tiebreak=urgency (default) is the
+/// fleet pairing rule at any fleet size; tiebreak=distance is the
+/// single-charger patrol rule.
 class NearestDeficitPolicy final : public ChargingPolicy {
  public:
   NearestDeficitPolicy(std::string name, bool distance_tiebreak)

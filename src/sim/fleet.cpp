@@ -2,23 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
+#include "sim/charger_sim.hpp"
 #include "sim/charging_policy.hpp"
+#include "sim/tour.hpp"
 
 namespace wrsn::sim {
-
-FleetSim::FleetSim(NetworkSim& network, const ChargerConfig& config, int num_chargers) {
-  if (num_chargers < 1) throw std::invalid_argument("fleet needs at least one charger");
-  sim_ = std::make_unique<ChargerSim>(network, config, num_chargers,
-                                      make_charging_policy("nearest-deficit"));
-}
-
-void FleetSim::run(std::uint64_t rounds) { sim_->run(rounds); }
-
-const FleetStats& FleetSim::stats() const noexcept { return sim_->stats(); }
-
-int FleetSim::num_chargers() const noexcept { return sim_->num_chargers(); }
 
 int fleet_size_lower_bound(const core::Instance& instance, const core::Solution& solution,
                            const ChargerConfig& charger, int bits_per_round) {
@@ -33,7 +22,7 @@ int find_min_fleet(const core::Instance& instance, const core::Solution& solutio
                                            network_config.bits_per_report);
   for (int k = lower; k <= max_chargers; ++k) {
     NetworkSim network(instance, solution, network_config);
-    FleetSim fleet(network, charger, k);
+    ChargerSim fleet(network, charger, k, make_charging_policy("nearest-deficit"));
     fleet.run(rounds);
     if (!fleet.stats().any_death) return k;
   }

@@ -1,45 +1,19 @@
-// Multi-charger fleet simulation and fleet sizing.
+// Charger fleet sizing.
 //
 // One charger suffices only while its duty cycle rho = B*C/(tau*P) stays
 // below 1 and travel leaves enough slack (sim/tour.hpp).  Larger or busier
-// networks need a fleet.  FleetSim is nowadays a thin facade over the
-// unified ChargerSim engine (sim/charger_sim.hpp) running K chargers under
-// the default `nearest-deficit` policy (most-urgent post first, nearest
-// idle charger wins) -- bit-identical to the original hand-coded dispatch,
-// pinned by tests/test_charging_policy.cpp.  This module also offers both
-// an analytic lower bound and a simulation-based search for the minimum
-// fleet that keeps every node alive.
+// networks need a fleet: K chargers on the sim::ChargerSim engine under the
+// default `nearest-deficit` policy (most-urgent post first, nearest idle
+// charger wins).  This module offers both an analytic lower bound and a
+// simulation-based search for the minimum fleet that keeps every node alive.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "sim/charger.hpp"
-#include "sim/charger_sim.hpp"
 #include "sim/network_sim.hpp"
-#include "sim/tour.hpp"
 
 namespace wrsn::sim {
-
-/// Aggregate + per-charger statistics of a fleet run (the engine's stats
-/// struct under its historical name; field names are unchanged).
-using FleetStats = ChargerSimStats;
-
-/// K chargers patrolling one network. Dispatch policy: whenever a post's
-/// emptiest node falls below the low watermark and no charger is already
-/// assigned to it, the nearest idle charger is sent.
-class FleetSim {
- public:
-  FleetSim(NetworkSim& network, const ChargerConfig& config, int num_chargers);
-
-  void run(std::uint64_t rounds);
-  const FleetStats& stats() const noexcept;
-  int num_chargers() const noexcept;
-
- private:
-  std::unique_ptr<ChargerSim> sim_;
-};
 
 /// Analytic lower bound on the fleet size: the RF power the network demands
 /// divided by one charger's power, ignoring travel (so a true lower bound).
@@ -47,8 +21,8 @@ int fleet_size_lower_bound(const core::Instance& instance, const core::Solution&
                            const ChargerConfig& charger, int bits_per_round);
 
 /// Smallest K in [lower bound, max_chargers] that keeps every node alive
-/// for `rounds` simulated rounds; returns max_chargers + 1 when even that
-/// fleet fails.
+/// for `rounds` simulated rounds under `nearest-deficit`; returns
+/// max_chargers + 1 when even that fleet fails.
 int find_min_fleet(const core::Instance& instance, const core::Solution& solution,
                    const ChargerConfig& charger, const NetworkConfig& network_config,
                    std::uint64_t rounds, int max_chargers);

@@ -45,7 +45,6 @@ NetworkSim::NetworkSim(const core::Instance& instance, const core::Solution& sol
     }
   }
 
-  subtree_rates_ = core::subtree_rates(instance, solution.tree);
   leaves_first_ = solution.tree.leaves_first_order();
   const std::vector<double> per_bit = core::per_post_energy(instance, solution.tree);
   expected_round_energy_.resize(per_bit.size());
@@ -53,8 +52,6 @@ NetworkSim::NetworkSim(const core::Instance& instance, const core::Solution& sol
     expected_round_energy_[i] = per_bit[i] * config.bits_per_report;
   }
 
-  // Resilience state: sized unconditionally (cheap), exercised only when a
-  // hazard, a repair policy, or a manual inject() switches the path over.
   const std::size_t n = static_cast<std::size_t>(instance.num_posts());
   destroyed_.assign(n, 0);
   live_nodes_.resize(n);
@@ -62,7 +59,6 @@ NetworkSim::NetworkSim(const core::Instance& instance, const core::Solution& sol
   outage_until_.assign(n, 0);
   connected_.assign(n, 1);
   disconnected_since_.assign(n, kNever);
-  resilient_ = config.faults.enabled() || config.repair != RepairPolicy::kNone;
   if (config.faults.enabled()) {
     fault_model_ = std::make_unique<FaultModel>(config.faults, instance.num_posts());
   }
@@ -76,110 +72,6 @@ NetworkSim::NetworkSim(NetworkSim&&) noexcept = default;
 NetworkSim& NetworkSim::operator=(NetworkSim&&) noexcept = default;
 
 bool NetworkSim::run_round() {
-  const bool all_alive = resilient_ ? run_round_resilient() : run_round_legacy();
-  emit_progress(false);
-  return all_alive;
-}
-
-void NetworkSim::emit_progress(bool final_event) {
-  if (config_.progress == nullptr) return;
-  if (!final_event && !config_.progress->wants("sim")) return;
-  obs::ProgressEvent event("sim", final_event);
-  event.add("round", static_cast<double>(rounds_));
-  event.add("delivery_ratio", delivery_ratio());
-  event.add("faults", static_cast<double>(faults_injected_));
-  event.add("repairs", static_cast<double>(repair_events_));
-  event.add("reroutes", static_cast<double>(reroutes_));
-  event.add("dead_nodes", dead_node_count());
-  event.add("consumed_j", total_consumed());
-  config_.progress->emit(event);
-}
-
-bool NetworkSim::run_round_legacy() {
-  WRSN_TRACE_SPAN("sim/round");
-  const auto& tree = solution_->tree;
-  const double bits = static_cast<double>(config_.bits_per_report);
-  bool all_alive = true;
-
-  // Per-round source rates: nominal, or scaled by the schedule; subtree
-  // sums recomputed leaves-first when a schedule is active.
-  std::vector<double> scheduled_rate(static_cast<std::size_t>(instance_->num_posts()));
-  std::vector<double> through_rates = subtree_rates_;
-  if (config_.rate_schedule) {
-    std::fill(through_rates.begin(), through_rates.end(), 0.0);
-    for (int p = 0; p < instance_->num_posts(); ++p) {
-      const double factor = config_.rate_schedule(p, rounds_);
-      if (factor < 0.0) throw std::logic_error("rate schedule returned a negative factor");
-      scheduled_rate[static_cast<std::size_t>(p)] = instance_->report_rate(p) * factor;
-    }
-    for (int p : leaves_first_) {
-      through_rates[static_cast<std::size_t>(p)] += scheduled_rate[static_cast<std::size_t>(p)];
-      const int parent = tree.parent(p);
-      if (parent != tree.base_station()) {
-        through_rates[static_cast<std::size_t>(parent)] +=
-            through_rates[static_cast<std::size_t>(p)];
-      }
-    }
-  } else {
-    for (int p = 0; p < instance_->num_posts(); ++p) {
-      scheduled_rate[static_cast<std::size_t>(p)] = instance_->report_rate(p);
-    }
-  }
-
-  double round_consumed = 0.0;
-  for (int p = 0; p < instance_->num_posts(); ++p) {
-    auto& post = posts_[static_cast<std::size_t>(p)];
-    const double through = through_rates[static_cast<std::size_t>(p)];
-    const double tx_bits = through * bits;
-    const double rx_bits = (through - scheduled_rate[static_cast<std::size_t>(p)]) * bits;
-    // Static (sensing/computation) draw scales with bits_per_report like
-    // the radio terms: it is expressed per reported bit.
-    const double energy = tx_bits * instance_->tx_energy(p, tree.parent(p)) +
-                          rx_bits * instance_->rx_energy() +
-                          instance_->static_energy(p) * bits;
-
-    // Rotation: the fullest node serves this round, which keeps residual
-    // levels nearly equal across the post (Section III).
-    auto worker = std::max_element(
-        post.nodes.begin(), post.nodes.end(),
-        [](const NodeState& a, const NodeState& b) { return a.battery_j < b.battery_j; });
-    worker->battery_j -= energy;
-    ++worker->active_rounds;
-    if (worker->battery_j < 0.0) {
-      worker->dead = true;
-      all_alive = false;
-    }
-    post.tx_bits += tx_bits;
-    post.rx_bits += rx_bits;
-    post.consumed_j += energy;
-    round_consumed += energy;
-  }
-  ++rounds_;
-
-  if (config_.sink != nullptr) {
-    // Battery extremes/mean are only gathered when someone is listening;
-    // the default path stays a pure energy-accounting loop.
-    double battery_min = 0.0;
-    double battery_sum = 0.0;
-    std::uint64_t node_count = 0;
-    bool first = true;
-    for (const auto& post : posts_) {
-      for (const auto& node : post.nodes) {
-        if (first || node.battery_j < battery_min) battery_min = node.battery_j;
-        first = false;
-        battery_sum += node.battery_j;
-        ++node_count;
-      }
-    }
-    const double battery_mean =
-        node_count == 0 ? 0.0 : battery_sum / static_cast<double>(node_count);
-    config_.sink->on_sim_round(
-        {rounds_, round_consumed, dead_node_count(), battery_min, battery_mean});
-  }
-  return all_alive;
-}
-
-bool NetworkSim::run_round_resilient() {
   WRSN_TRACE_SPAN("sim/round");
   const std::uint64_t round = rounds_;
   const double bits = static_cast<double>(config_.bits_per_report);
@@ -224,8 +116,15 @@ bool NetworkSim::run_round_resilient() {
   // drop the overflow at the origin. Delivery is attributed at the
   // originating post, so per post:
   //   originated_bits == delivered_bits + dropped_bits + backlog_bits.
-  send_bits_.assign(static_cast<std::size_t>(n), 0.0);
-  own_bits_.assign(static_cast<std::size_t>(n), 0.0);
+  // Loads are summed in report units, children first and the post's own
+  // report last (the order of core::subtree_rates), and scaled to bits only
+  // afterwards; flushed backlog, already in bits, travels in its own
+  // accumulator.  A fault-free round thus sums traffic exactly as
+  // core::subtree_rates does, whatever the rates and bits_per_report.
+  own_reports_.assign(static_cast<std::size_t>(n), 0.0);
+  own_flushed_.assign(static_cast<std::size_t>(n), 0.0);
+  send_reports_.assign(static_cast<std::size_t>(n), 0.0);
+  send_flushed_.assign(static_cast<std::size_t>(n), 0.0);
   const double backlog_cap = static_cast<double>(config_.backlog_capacity_reports) * bits;
   double round_originated = 0.0;
   double round_delivered = 0.0;
@@ -237,16 +136,17 @@ bool NetworkSim::run_round_resilient() {
       factor = config_.rate_schedule(p, round);
       if (factor < 0.0) throw std::logic_error("rate schedule returned a negative factor");
     }
-    const double originated = instance_->report_rate(p) * factor * bits;
+    const double reports = instance_->report_rate(p) * factor;
+    const double originated = reports * bits;
     post.originated_bits += originated;
     round_originated += originated;
     if (connected_[static_cast<std::size_t>(p)] != 0) {
       const double out = originated + post.backlog_bits;
       post.delivered_bits += out;
       round_delivered += out;
+      own_reports_[static_cast<std::size_t>(p)] = reports;
+      own_flushed_[static_cast<std::size_t>(p)] = post.backlog_bits;
       post.backlog_bits = 0.0;
-      own_bits_[static_cast<std::size_t>(p)] = out;
-      send_bits_[static_cast<std::size_t>(p)] += out;
     } else {
       post.backlog_bits += originated;
       if (post.backlog_bits > backlog_cap) {
@@ -261,15 +161,23 @@ bool NetworkSim::run_round_resilient() {
   // construction, so loads accumulate along live paths only.
   for (int p : leaves_first_) {
     if (connected_[static_cast<std::size_t>(p)] == 0) continue;
+    send_reports_[static_cast<std::size_t>(p)] += own_reports_[static_cast<std::size_t>(p)];
+    send_flushed_[static_cast<std::size_t>(p)] += own_flushed_[static_cast<std::size_t>(p)];
     const int parent = routing_.parent(p);
     if (parent != routing_.base_station()) {
-      send_bits_[static_cast<std::size_t>(parent)] += send_bits_[static_cast<std::size_t>(p)];
+      send_reports_[static_cast<std::size_t>(parent)] +=
+          send_reports_[static_cast<std::size_t>(p)];
+      send_flushed_[static_cast<std::size_t>(parent)] +=
+          send_flushed_[static_cast<std::size_t>(p)];
     }
   }
 
   // 5. Energy: alive posts keep sensing (static draw) even while
   // disconnected; radio energy only flows on live links. Destroyed posts
-  // draw nothing. The rotation picks the fullest non-failed node.
+  // draw nothing. The static draw is expressed per reported bit, so it
+  // scales with bits_per_report like the radio terms. The rotation picks
+  // the fullest non-failed node, which keeps residual levels nearly equal
+  // across the post (Section III).
   double round_consumed = 0.0;
   bool all_alive = true;
   for (int p = 0; p < n; ++p) {
@@ -279,8 +187,11 @@ bool NetworkSim::run_round_resilient() {
     double rx = 0.0;
     double energy = instance_->static_energy(p) * bits;
     if (connected_[static_cast<std::size_t>(p)] != 0) {
-      tx = send_bits_[static_cast<std::size_t>(p)];
-      rx = tx - own_bits_[static_cast<std::size_t>(p)];
+      const double through = send_reports_[static_cast<std::size_t>(p)];
+      const double flushed = send_flushed_[static_cast<std::size_t>(p)];
+      tx = through * bits + flushed;
+      rx = (through - own_reports_[static_cast<std::size_t>(p)]) * bits +
+           (flushed - own_flushed_[static_cast<std::size_t>(p)]);
       energy += tx * instance_->tx_energy(p, routing_.parent(p)) + rx * instance_->rx_energy();
     }
     NodeState* worker = fullest_live_node(p);
@@ -324,7 +235,22 @@ bool NetworkSim::run_round_resilient() {
                                 battery_mean, round_delivered, round_dropped,
                                 backlog_bits_total(), faults_applied, round_reroutes});
   }
+  emit_progress(false);
   return all_alive;
+}
+
+void NetworkSim::emit_progress(bool final_event) {
+  if (config_.progress == nullptr) return;
+  if (!final_event && !config_.progress->wants("sim")) return;
+  obs::ProgressEvent event("sim", final_event);
+  event.add("round", static_cast<double>(rounds_));
+  event.add("delivery_ratio", delivery_ratio());
+  event.add("faults", static_cast<double>(faults_injected_));
+  event.add("repairs", static_cast<double>(repair_events_));
+  event.add("reroutes", static_cast<double>(reroutes_));
+  event.add("dead_nodes", dead_node_count());
+  event.add("consumed_j", total_consumed());
+  config_.progress->emit(event);
 }
 
 void NetworkSim::apply_fault(const Fault& fault, std::uint64_t round, double& round_dropped,
@@ -498,7 +424,6 @@ void NetworkSim::inject(const Fault& fault) {
   if (fault.kind == FaultKind::kLinkOutage && fault.duration_rounds < 1) {
     throw std::invalid_argument("link outage needs duration_rounds >= 1");
   }
-  resilient_ = true;
   pending_faults_.push_back(fault);
 }
 

@@ -16,8 +16,9 @@
 // bounded backlog and then drop them (delivered/dropped bits accounted per
 // post); and a pluggable RepairPolicy re-attaches survivors -- immediately
 // via the incremental core::DeploymentPricer, or in periodic maintenance
-// visits modeled with core::failures::assess_failure.  With faults disabled
-// (the default) the legacy code path runs bit-identically.
+// visits modeled with core::failures::assess_failure.  One round body
+// serves every configuration; with faults disabled (the default) it sums
+// traffic exactly as core::subtree_rates does.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +51,7 @@ struct NetworkConfig {
   /// Optional time-varying traffic multiplier (null = the paper's constant
   /// one-report-per-round model). See sim/schedule.hpp.
   RateSchedule rate_schedule;
-  /// Online fault injection (sim/fault_model.hpp); disabled by default, in
-  /// which case the simulator runs the legacy fault-free path bit-identically.
+  /// Online fault injection (sim/fault_model.hpp); disabled by default.
   FaultConfig faults;
   /// Reaction to faults.  kImmediateReroute re-attaches survivors through
   /// the incremental DeploymentPricer the moment a deployment-changing
@@ -89,8 +89,8 @@ struct PostState {
   double tx_bits = 0.0;
   double rx_bits = 0.0;
   double consumed_j = 0.0;  ///< lifetime energy drawn at this post
-  // Resilience accounting (zero on the fault-free path).  Invariant:
-  // originated_bits == delivered_bits + dropped_bits + backlog_bits.
+  // Delivery accounting (dropped and backlog stay zero without faults).
+  // Invariant: originated_bits == delivered_bits + dropped_bits + backlog_bits.
   double originated_bits = 0.0;  ///< bits sensed at this post
   double delivered_bits = 0.0;   ///< bits that reached the base station
   double dropped_bits = 0.0;     ///< bits lost to backlog overflow or destruction
@@ -115,8 +115,8 @@ class NetworkSim {
   std::uint64_t run_rounds(std::uint64_t count, bool stop_on_death = false);
 
   /// Queues a fault to apply at the start of the next round, ahead of the
-  /// stochastic model's draws.  Switches the simulator onto the resilient
-  /// path; deterministic drills and tests use this instead of hazards.
+  /// stochastic model's draws; deterministic drills and tests use this
+  /// instead of hazards.
   void inject(const Fault& fault);
 
   std::uint64_t rounds_completed() const noexcept { return rounds_; }
@@ -142,7 +142,7 @@ class NetworkSim {
   /// Total energy drawn across all posts so far.
   double total_consumed() const noexcept;
 
-  // Resilience observers (all zero / trivially true on the fault-free path).
+  // Resilience observers (faults, drops and backlog stay zero without faults).
   bool post_alive(int p) const;      ///< site not destroyed
   bool post_connected(int p) const;  ///< had a live path to the base last round
   int destroyed_post_count() const noexcept { return destroyed_count_; }
@@ -160,8 +160,6 @@ class NetworkSim {
   double delivery_ratio() const noexcept;
 
  private:
-  bool run_round_legacy();
-  bool run_round_resilient();
   void emit_progress(bool final_event);
   void apply_fault(const Fault& fault, std::uint64_t round, double& round_dropped,
                    int& applied, bool& deployment_changed);
@@ -177,13 +175,11 @@ class NetworkSim {
   NetworkConfig config_;
   graph::RoutingTree routing_;
   std::vector<PostState> posts_;
-  std::vector<double> subtree_rates_;
-  std::vector<int> leaves_first_;  // cached traversal for scheduled rates
+  std::vector<int> leaves_first_;  // children-first order of routing_
   std::vector<double> expected_round_energy_;
   std::uint64_t rounds_ = 0;
 
-  // Resilience state (inert while resilient_ is false).
-  bool resilient_ = false;
+  // Resilience state.
   std::unique_ptr<FaultModel> fault_model_;
   std::unique_ptr<core::DeploymentPricer> pricer_;  // kImmediateReroute only
   std::vector<char> destroyed_;
@@ -195,8 +191,10 @@ class NetworkSim {
   std::vector<Fault> sampled_faults_;            // scratch
   std::vector<char> conn_state_;                 // scratch: 0 ? / 1 yes / 2 no
   std::vector<int> conn_path_;                   // scratch
-  std::vector<double> send_bits_;                // scratch: per-post radio load
-  std::vector<double> own_bits_;                 // scratch: originated + flushed
+  std::vector<double> own_reports_;              // scratch: reports sent this round
+  std::vector<double> own_flushed_;              // scratch: backlog bits flushed
+  std::vector<double> send_reports_;             // scratch: subtree load, reports
+  std::vector<double> send_flushed_;             // scratch: subtree load, flushed bits
   int destroyed_count_ = 0;
   std::uint64_t faults_injected_ = 0;
   std::uint64_t reroutes_ = 0;

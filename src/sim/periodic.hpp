@@ -1,14 +1,15 @@
 // Periodic tour-following charger (the alternative scheduling policy).
 //
-// PatrolSim reacts to low batteries; TourPatrolSim instead drives the
-// planned closed tour (sim/tour.hpp) forever, topping up every post it
-// passes.  Periodic maintenance needs no telemetry from the network (no
-// battery monitoring backchannel) -- the trade-off is that it spends travel
-// on posts that did not need service yet.  The analytic feasibility of this
-// policy is exactly analyze_patrol()'s cycle model.
+// ChargerSim's policies react to low batteries; TourPatrolSim instead
+// drives the planned closed tour (sim/tour.hpp) forever, topping up every
+// post it passes.  Periodic maintenance needs no telemetry from the
+// network (no battery monitoring backchannel) -- the trade-off is that it
+// spends travel on posts that did not need service yet.  The analytic
+// feasibility of this policy is exactly analyze_patrol()'s cycle model.
 #pragma once
 
 #include "sim/charger.hpp"
+#include "sim/charger_sim.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/tour.hpp"
 
@@ -22,7 +23,9 @@ class TourPatrolSim {
   TourPatrolSim(NetworkSim& network, const ChargerConfig& config, TourPlan plan);
 
   void run(std::uint64_t rounds);
-  const ChargerStats& stats() const noexcept { return stats_; }
+  /// Aggregate statistics of the one charger (the per-charger vectors stay
+  /// empty and fixed_radiated_j zero).
+  const ChargerSimStats& stats() const noexcept { return stats_; }
   /// Completed full tours.
   std::uint64_t laps() const noexcept { return laps_; }
 
@@ -36,7 +39,7 @@ class TourPatrolSim {
   ChargerConfig config_;
   TourPlan plan_;
   EventQueue queue_;
-  ChargerStats stats_;
+  ChargerSimStats stats_;
   std::uint64_t laps_ = 0;
   std::size_t next_stop_ = 0;  // index into plan_.order
   geom::Point position_{};

@@ -8,7 +8,8 @@
 // repeat traffic against the same scenario prices deployments with zero
 // steady-state allocation and -- for single-post deltas -- by incremental
 // shortest-path repair instead of a fresh Dijkstra (docs/service.md
-// "Session cache", BENCH_service.json cold-vs-warm split).
+// "Session cache"; perfbench's `service` workload times warm against cold
+// plans).
 //
 // Concurrency contract: `acquire` is callable from every worker thread.
 // Concurrent acquires of the same fingerprint build the instance once (the

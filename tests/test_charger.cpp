@@ -1,9 +1,11 @@
-#include "sim/charger.hpp"
-
+// The single-charger patrol: sim::ChargerSim with one charger under
+// `nearest-deficit:tiebreak=distance`.
 #include <gtest/gtest.h>
 
 #include "core/rfh.hpp"
 #include "helpers.hpp"
+#include "sim/charger_sim.hpp"
+#include "sim/charging_policy.hpp"
 
 namespace wrsn::sim {
 namespace {
@@ -20,19 +22,11 @@ PlanFixture rfh_setup(int posts, int nodes, double side, std::uint64_t seed) {
   return PlanFixture{std::move(inst), std::move(solution)};
 }
 
-TEST(PatrolSim, RejectsBadConfig) {
-  const PlanFixture s = rfh_setup(5, 10, 100.0, 1);
-  NetworkSim net(s.instance, s.solution, {});
-  ChargerConfig bad;
-  bad.speed_mps = 0.0;
-  EXPECT_THROW(PatrolSim(net, bad), std::invalid_argument);
-  bad = ChargerConfig{};
-  bad.low_watermark = 0.9;
-  bad.high_watermark = 0.8;
-  EXPECT_THROW(PatrolSim(net, bad), std::invalid_argument);
+ChargerSim make_patrol(NetworkSim& net, const ChargerConfig& config) {
+  return ChargerSim(net, config, 1, make_charging_policy("nearest-deficit:tiebreak=distance"));
 }
 
-TEST(PatrolSim, KeepsNetworkAliveWithAdequateCharger) {
+TEST(SingleChargerPatrol, KeepsNetworkAliveWithAdequateCharger) {
   // The paper's standing assumption, executed: a fast, strong charger keeps
   // every node alive indefinitely.
   const PlanFixture s = rfh_setup(8, 24, 120.0, 2);
@@ -43,7 +37,7 @@ TEST(PatrolSim, KeepsNetworkAliveWithAdequateCharger) {
   ChargerConfig charger_cfg;
   charger_cfg.speed_mps = 20.0;
   charger_cfg.radiated_power_w = 50.0;
-  PatrolSim patrol(net, charger_cfg);
+  ChargerSim patrol = make_patrol(net, charger_cfg);
   patrol.run(2000);
   EXPECT_FALSE(patrol.stats().any_death);
   EXPECT_EQ(net.dead_node_count(), 0);
@@ -51,7 +45,7 @@ TEST(PatrolSim, KeepsNetworkAliveWithAdequateCharger) {
   EXPECT_EQ(patrol.stats().rounds, 2000u);
 }
 
-TEST(PatrolSim, RadiatedEnergyConvergesToAnalyticCost) {
+TEST(SingleChargerPatrol, RadiatedEnergyConvergesToAnalyticCost) {
   // Long-run charger output per round ~= bits * total_recharging_cost: the
   // end-to-end validation that the objective prices the real system.
   const PlanFixture s = rfh_setup(6, 18, 100.0, 3);
@@ -64,7 +58,7 @@ TEST(PatrolSim, RadiatedEnergyConvergesToAnalyticCost) {
   charger_cfg.radiated_power_w = 100.0;
   charger_cfg.low_watermark = 0.6;
   charger_cfg.high_watermark = 0.9;
-  PatrolSim patrol(net, charger_cfg);
+  ChargerSim patrol = make_patrol(net, charger_cfg);
   const std::uint64_t rounds = 5000;
   patrol.run(rounds);
   ASSERT_FALSE(patrol.stats().any_death);
@@ -76,19 +70,19 @@ TEST(PatrolSim, RadiatedEnergyConvergesToAnalyticCost) {
   EXPECT_NEAR(measured_per_round / analytic_per_round, 1.0, 0.10);
 }
 
-TEST(PatrolSim, NoVisitsWhenBatteriesStayHigh) {
+TEST(SingleChargerPatrol, NoVisitsWhenBatteriesStayHigh) {
   const PlanFixture s = rfh_setup(5, 10, 100.0, 4);
   NetworkConfig net_cfg;
   net_cfg.battery_capacity_j = 100.0;  // effectively infinite
   NetworkSim net(s.instance, s.solution, net_cfg);
-  PatrolSim patrol(net, {});
+  ChargerSim patrol = make_patrol(net, {});
   patrol.run(100);
   EXPECT_EQ(patrol.stats().visits, 0u);
   EXPECT_DOUBLE_EQ(patrol.stats().radiated_j, 0.0);
   EXPECT_DOUBLE_EQ(patrol.stats().distance_m, 0.0);
 }
 
-TEST(PatrolSim, TravelMetersAccumulate) {
+TEST(SingleChargerPatrol, TravelMetersAccumulate) {
   const PlanFixture s = rfh_setup(6, 18, 150.0, 5);
   NetworkConfig net_cfg;
   net_cfg.bits_per_report = 4096;
@@ -98,7 +92,7 @@ TEST(PatrolSim, TravelMetersAccumulate) {
   charger_cfg.speed_mps = 30.0;
   charger_cfg.radiated_power_w = 50.0;
   charger_cfg.travel_power_w = 10.0;
-  PatrolSim patrol(net, charger_cfg);
+  ChargerSim patrol = make_patrol(net, charger_cfg);
   patrol.run(1500);
   ASSERT_GT(patrol.stats().visits, 1u);
   EXPECT_GT(patrol.stats().distance_m, 0.0);
@@ -108,7 +102,7 @@ TEST(PatrolSim, TravelMetersAccumulate) {
               patrol.stats().travel_j * 1e-9);
 }
 
-TEST(PatrolSim, UndersizedChargerCannotPreventDeath) {
+TEST(SingleChargerPatrol, UndersizedChargerCannotPreventDeath) {
   const PlanFixture s = rfh_setup(8, 24, 200.0, 6);
   NetworkConfig net_cfg;
   net_cfg.bits_per_report = 65536;  // heavy traffic
@@ -117,12 +111,12 @@ TEST(PatrolSim, UndersizedChargerCannotPreventDeath) {
   ChargerConfig charger_cfg;
   charger_cfg.speed_mps = 0.5;           // slow
   charger_cfg.radiated_power_w = 0.001;  // weak
-  PatrolSim patrol(net, charger_cfg);
+  ChargerSim patrol = make_patrol(net, charger_cfg);
   patrol.run(3000);
   EXPECT_TRUE(patrol.stats().any_death);
 }
 
-TEST(PatrolSim, AbstractInstanceTeleportsCharger) {
+TEST(SingleChargerPatrol, AbstractInstanceTeleportsCharger) {
   // No geometry: travel distance must stay zero but charging still works.
   graph::ReachGraph g(2);
   g.set_min_level(0, 2, 0);
@@ -139,7 +133,7 @@ TEST(PatrolSim, AbstractInstanceTeleportsCharger) {
   NetworkSim net(inst, solution, net_cfg);
   ChargerConfig charger_cfg;
   charger_cfg.radiated_power_w = 10.0;
-  PatrolSim patrol(net, charger_cfg);
+  ChargerSim patrol = make_patrol(net, charger_cfg);
   patrol.run(2000);
   EXPECT_DOUBLE_EQ(patrol.stats().distance_m, 0.0);
   EXPECT_FALSE(patrol.stats().any_death);

@@ -1,10 +1,10 @@
 // Charging-policy framework tests.
 //
-// The load-bearing half is bit-identity: the unified sim::ChargerSim engine
-// running the "nearest-deficit" policy must reproduce the retired PatrolSim
-// and FleetSim implementations EXACTLY -- same floating-point arithmetic in
-// the same order, same event schedule -- across seeds and fleet sizes.  To
-// pin that, this file carries frozen verbatim replicas of the legacy
+// The load-bearing half is bit-identity: the sim::ChargerSim engine running
+// the "nearest-deficit" policy must reproduce the single-charger patrol and
+// the fleet simulator it replaced EXACTLY -- same floating-point arithmetic
+// in the same order, same event schedule -- across seeds and fleet sizes.
+// To pin that, this file carries frozen verbatim replicas of those
 // simulators (LegacyPatrolSim / LegacyFleetSim below); every stats field and
 // every per-node battery level is compared with operator== (no tolerances).
 //
@@ -24,17 +24,28 @@
 #include "core/rfh.hpp"
 #include "helpers.hpp"
 #include "obs/sink.hpp"
-#include "sim/charger.hpp"
 #include "sim/charger_sim.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/fleet.hpp"
 #include "sim/network_sim.hpp"
 
 namespace wrsn::sim {
 namespace {
 
+// Statistics of the frozen replicas below (the fields of the stats structs
+// they were written against).
+struct LegacyStats {
+  double radiated_j = 0.0;
+  double travel_j = 0.0;
+  double distance_m = 0.0;
+  std::uint64_t visits = 0;
+  std::uint64_t rounds = 0;
+  bool any_death = false;
+  std::vector<double> radiated_per_charger;
+  std::vector<std::uint64_t> visits_per_charger;
+};
+
 // ---------------------------------------------------------------------------
-// Frozen legacy single-charger patrol (verbatim pre-unification PatrolSim).
+// Frozen legacy single-charger patrol (verbatim pre-unification patrol).
 // ---------------------------------------------------------------------------
 class LegacyPatrolSim {
  public:
@@ -56,7 +67,7 @@ class LegacyPatrolSim {
     }
   }
 
-  const ChargerStats& stats() const noexcept { return stats_; }
+  const LegacyStats& stats() const noexcept { return stats_; }
 
  private:
   enum class State { Idle, Traveling, Charging };
@@ -147,7 +158,7 @@ class LegacyPatrolSim {
   NetworkSim* network_;
   ChargerConfig config_;
   EventQueue queue_;
-  ChargerStats stats_;
+  LegacyStats stats_;
   State state_ = State::Idle;
   geom::Point position_{};
   int target_post_ = -1;
@@ -155,7 +166,7 @@ class LegacyPatrolSim {
 };
 
 // ---------------------------------------------------------------------------
-// Frozen legacy fleet (verbatim pre-unification FleetSim).
+// Frozen legacy fleet (verbatim pre-unification fleet).
 // ---------------------------------------------------------------------------
 class LegacyFleetSim {
  public:
@@ -181,7 +192,7 @@ class LegacyFleetSim {
     }
   }
 
-  const FleetStats& stats() const noexcept { return stats_; }
+  const LegacyStats& stats() const noexcept { return stats_; }
 
  private:
   enum class State { Idle, Traveling, Charging };
@@ -288,7 +299,7 @@ class LegacyFleetSim {
   NetworkSim* network_;
   ChargerConfig config_;
   EventQueue queue_;
-  FleetStats stats_;
+  LegacyStats stats_;
   std::vector<Charger> chargers_;
 };
 
@@ -315,7 +326,7 @@ std::vector<double> all_batteries(const NetworkSim& network) {
   return batteries;
 }
 
-void expect_bit_identical(const ChargerSimStats& actual, const ChargerSimStats& expected) {
+void expect_bit_identical(const ChargerSimStats& actual, const LegacyStats& expected) {
   EXPECT_EQ(actual.radiated_j, expected.radiated_j);
   EXPECT_EQ(actual.travel_j, expected.travel_j);
   EXPECT_EQ(actual.distance_m, expected.distance_m);
@@ -356,32 +367,6 @@ TEST(BitIdentity, SingleChargerMatchesLegacyPatrolAcrossSeeds) {
   }
 }
 
-TEST(BitIdentity, PatrolFacadeMatchesLegacyPatrol) {
-  const PlanFixture plan = make_plan(7, 21, 110.0, 5);
-  NetworkConfig net_cfg;
-  net_cfg.bits_per_report = 4096;
-  net_cfg.battery_capacity_j = 0.02;
-  ChargerConfig charger_cfg;
-  charger_cfg.speed_mps = 10.0;
-  charger_cfg.radiated_power_w = 50.0;
-
-  NetworkSim legacy_net(plan.instance, plan.solution, net_cfg);
-  LegacyPatrolSim legacy(legacy_net, charger_cfg);
-  legacy.run(1200);
-
-  NetworkSim facade_net(plan.instance, plan.solution, net_cfg);
-  PatrolSim facade(facade_net, charger_cfg);
-  facade.run(1200);
-
-  EXPECT_EQ(facade.stats().radiated_j, legacy.stats().radiated_j);
-  EXPECT_EQ(facade.stats().travel_j, legacy.stats().travel_j);
-  EXPECT_EQ(facade.stats().distance_m, legacy.stats().distance_m);
-  EXPECT_EQ(facade.stats().visits, legacy.stats().visits);
-  EXPECT_EQ(facade.stats().rounds, legacy.stats().rounds);
-  EXPECT_EQ(facade.stats().any_death, legacy.stats().any_death);
-  EXPECT_EQ(all_batteries(facade_net), all_batteries(legacy_net));
-}
-
 TEST(BitIdentity, FleetMatchesLegacyAcrossSizesAndSeeds) {
   for (const std::uint64_t seed : {2ULL, 9ULL}) {
     for (int fleet_size = 1; fleet_size <= 4; ++fleet_size) {
@@ -408,13 +393,6 @@ TEST(BitIdentity, FleetMatchesLegacyAcrossSizesAndSeeds) {
       EXPECT_EQ(unified.stats().radiated_per_charger, legacy.stats().radiated_per_charger);
       EXPECT_EQ(unified.stats().visits_per_charger, legacy.stats().visits_per_charger);
       EXPECT_EQ(all_batteries(unified_net), all_batteries(legacy_net));
-
-      // The FleetSim facade must route through the same engine + policy.
-      NetworkSim facade_net(plan.instance, plan.solution, net_cfg);
-      FleetSim facade(facade_net, charger_cfg, fleet_size);
-      facade.run(1000);
-      expect_bit_identical(facade.stats(), legacy.stats());
-      EXPECT_EQ(all_batteries(facade_net), all_batteries(legacy_net));
     }
   }
 }
@@ -466,6 +444,17 @@ TEST(ChargerSim, RejectsBadArguments) {
   ChargerConfig bad;
   bad.radiated_power_w = 0.0;
   EXPECT_THROW(ChargerSim(net, bad, 1, make_charging_policy("threshold")),
+               std::invalid_argument);
+  EXPECT_THROW(ChargerSim(net, bad, 2, make_charging_policy("nearest-deficit")),
+               std::invalid_argument);
+  bad = ChargerConfig{};
+  bad.speed_mps = 0.0;
+  EXPECT_THROW(ChargerSim(net, bad, 1, make_charging_policy("nearest-deficit:tiebreak=distance")),
+               std::invalid_argument);
+  bad = ChargerConfig{};
+  bad.low_watermark = 0.9;
+  bad.high_watermark = 0.8;
+  EXPECT_THROW(ChargerSim(net, bad, 1, make_charging_policy("nearest-deficit:tiebreak=distance")),
                std::invalid_argument);
 }
 

@@ -1,3 +1,5 @@
+// Charger fleets (sim::ChargerSim with K chargers under `nearest-deficit`)
+// and fleet sizing (sim/fleet.hpp).
 #include "sim/fleet.hpp"
 
 #include <gtest/gtest.h>
@@ -6,6 +8,9 @@
 
 #include "core/rfh.hpp"
 #include "helpers.hpp"
+#include "sim/charger_sim.hpp"
+#include "sim/charging_policy.hpp"
+#include "sim/tour.hpp"
 
 namespace wrsn::sim {
 namespace {
@@ -22,18 +27,13 @@ PlanFixture make_plan(int posts, int nodes, double side, std::uint64_t seed) {
   return PlanFixture{std::move(inst), std::move(solution)};
 }
 
-TEST(FleetSim, RejectsBadArguments) {
-  const PlanFixture plan = make_plan(5, 10, 100.0, 1);
-  NetworkSim net(plan.instance, plan.solution, {});
-  EXPECT_THROW(FleetSim(net, ChargerConfig{}, 0), std::invalid_argument);
-  ChargerConfig bad;
-  bad.radiated_power_w = 0.0;
-  EXPECT_THROW(FleetSim(net, bad, 2), std::invalid_argument);
+ChargerSim make_fleet(NetworkSim& net, const ChargerConfig& config, int num_chargers) {
+  return ChargerSim(net, config, num_chargers, make_charging_policy("nearest-deficit"));
 }
 
-TEST(FleetSim, SingleChargerMatchesPatrolBehavior) {
+TEST(ChargerFleet, SingleChargerMatchesPatrolBehavior) {
   // A fleet of one should deliver the same long-run energy balance as the
-  // single-charger PatrolSim (policies coincide when only one post is low
+  // single-charger patrol rule (policies coincide when only one post is low
   // at a time).
   const PlanFixture plan = make_plan(6, 18, 100.0, 2);
   NetworkConfig net_cfg;
@@ -44,11 +44,12 @@ TEST(FleetSim, SingleChargerMatchesPatrolBehavior) {
   charger_cfg.radiated_power_w = 100.0;
 
   NetworkSim net_a(plan.instance, plan.solution, net_cfg);
-  PatrolSim patrol(net_a, charger_cfg);
+  ChargerSim patrol(net_a, charger_cfg, 1,
+                    make_charging_policy("nearest-deficit:tiebreak=distance"));
   patrol.run(2000);
 
   NetworkSim net_b(plan.instance, plan.solution, net_cfg);
-  FleetSim fleet(net_b, charger_cfg, 1);
+  ChargerSim fleet = make_fleet(net_b, charger_cfg, 1);
   fleet.run(2000);
 
   ASSERT_FALSE(patrol.stats().any_death);
@@ -57,7 +58,7 @@ TEST(FleetSim, SingleChargerMatchesPatrolBehavior) {
               0.05);
 }
 
-TEST(FleetSim, PerChargerStatsSumToAggregate) {
+TEST(ChargerFleet, PerChargerStatsSumToAggregate) {
   const PlanFixture plan = make_plan(10, 30, 150.0, 3);
   NetworkConfig net_cfg;
   net_cfg.bits_per_report = 4096;
@@ -66,9 +67,9 @@ TEST(FleetSim, PerChargerStatsSumToAggregate) {
   charger_cfg.speed_mps = 20.0;
   charger_cfg.radiated_power_w = 40.0;
   NetworkSim net(plan.instance, plan.solution, net_cfg);
-  FleetSim fleet(net, charger_cfg, 3);
+  ChargerSim fleet = make_fleet(net, charger_cfg, 3);
   fleet.run(1500);
-  const FleetStats& stats = fleet.stats();
+  const ChargerSimStats& stats = fleet.stats();
   EXPECT_NEAR(std::accumulate(stats.radiated_per_charger.begin(),
                               stats.radiated_per_charger.end(), 0.0),
               stats.radiated_j, stats.radiated_j * 1e-9 + 1e-12);
@@ -77,7 +78,7 @@ TEST(FleetSim, PerChargerStatsSumToAggregate) {
             stats.visits);
 }
 
-TEST(FleetSim, FleetSavesNetworkOneChargerCannot) {
+TEST(ChargerFleet, FleetSavesNetworkOneChargerCannot) {
   // Heavy traffic + slow travel: one charger falls behind, four keep up
   // (parameters empirically at the K=2/K=3 feasibility edge).
   const PlanFixture plan = make_plan(12, 36, 250.0, 4);
@@ -90,18 +91,18 @@ TEST(FleetSim, FleetSavesNetworkOneChargerCannot) {
   charger_cfg.low_watermark = 0.5;
 
   NetworkSim solo_net(plan.instance, plan.solution, net_cfg);
-  FleetSim solo(solo_net, charger_cfg, 1);
+  ChargerSim solo = make_fleet(solo_net, charger_cfg, 1);
   solo.run(1200);
 
   NetworkSim fleet_net(plan.instance, plan.solution, net_cfg);
-  FleetSim fleet(fleet_net, charger_cfg, 4);
+  ChargerSim fleet = make_fleet(fleet_net, charger_cfg, 4);
   fleet.run(1200);
 
   EXPECT_TRUE(solo.stats().any_death) << "one charger should be insufficient here";
   EXPECT_FALSE(fleet.stats().any_death) << "four chargers should keep up";
 }
 
-TEST(FleetSim, WorkSharedAcrossChargers) {
+TEST(ChargerFleet, WorkSharedAcrossChargers) {
   const PlanFixture plan = make_plan(12, 36, 250.0, 4);
   NetworkConfig net_cfg;
   net_cfg.bits_per_report = 8192;
@@ -111,7 +112,7 @@ TEST(FleetSim, WorkSharedAcrossChargers) {
   charger_cfg.radiated_power_w = 20.0;
   charger_cfg.low_watermark = 0.5;
   NetworkSim net(plan.instance, plan.solution, net_cfg);
-  FleetSim fleet(net, charger_cfg, 4);
+  ChargerSim fleet = make_fleet(net, charger_cfg, 4);
   fleet.run(1200);
   ASSERT_FALSE(fleet.stats().any_death);
   int active = 0;
@@ -159,7 +160,7 @@ TEST(FindMinFleet, FindsAWorkingSizeAtMostMax) {
   ASSERT_LE(k, 6);
   // The found size works...
   NetworkSim net(plan.instance, plan.solution, net_cfg);
-  FleetSim fleet(net, charger_cfg, k);
+  ChargerSim fleet = make_fleet(net, charger_cfg, k);
   fleet.run(800);
   EXPECT_FALSE(fleet.stats().any_death);
   // ...and respects the analytic lower bound.

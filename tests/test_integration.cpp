@@ -11,7 +11,8 @@
 #include "core/rfh.hpp"
 #include "fieldexp/powercast.hpp"
 #include "helpers.hpp"
-#include "sim/charger.hpp"
+#include "sim/charger_sim.hpp"
+#include "sim/charging_policy.hpp"
 #include "sim/network_sim.hpp"
 
 namespace wrsn {
@@ -32,7 +33,8 @@ TEST(Integration, FullPipelineFieldToPatrol) {
   sim::ChargerConfig charger_cfg;
   charger_cfg.speed_mps = 25.0;
   charger_cfg.radiated_power_w = 80.0;
-  sim::PatrolSim patrol(net, charger_cfg);
+  sim::ChargerSim patrol(net, charger_cfg, 1,
+                         sim::make_charging_policy("nearest-deficit:tiebreak=distance"));
   patrol.run(3000);
   EXPECT_FALSE(patrol.stats().any_death);
   // The charger radiates at least the analytic cost; the excess is the
@@ -188,7 +190,8 @@ TEST(Integration, SimulatedLifetimeInfiniteOnlyWithCharger) {
   sim::ChargerConfig charger_cfg;
   charger_cfg.speed_mps = 25.0;
   charger_cfg.radiated_power_w = 50.0;
-  sim::PatrolSim patrol(charged, charger_cfg);
+  sim::ChargerSim patrol(charged, charger_cfg, 1,
+                         sim::make_charging_policy("nearest-deficit:tiebreak=distance"));
   patrol.run(5000);
   EXPECT_FALSE(patrol.stats().any_death);
 }

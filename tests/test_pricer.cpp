@@ -406,6 +406,39 @@ TEST(Pricer, DisabledSurvivorsCutOffKeepInfiniteDistance) {
   EXPECT_FALSE(std::isfinite(pricer.base_cost()));
 }
 
+TEST(Pricer, DisabledPostsLeaveNoStaleParents) {
+  // The contract sim::NetworkSim adopts parents by: a post has parent -1
+  // exactly when its distance is infinite, and every finite parent is an
+  // enabled post with a finite distance (or the base station).  Checked
+  // after every disable, on the bounded repair and on the default options.
+  DeploymentPricer::Options bounded_only;
+  bounded_only.full_recompute_fraction = 2.0;
+  util::Rng rng(1433);
+  for (int trial = 0; trial < 6; ++trial) {
+    const Instance inst = test::random_instance(40, 120, 220.0, rng);
+    const int n = inst.num_posts();
+    const int bs = inst.graph().base_station();
+    for (const DeploymentPricer::Options& options : {bounded_only, DeploymentPricer::Options{}}) {
+      DeploymentPricer pricer(inst, balanced_deployment(n, 120), options);
+      util::Rng pick(1439 + static_cast<std::uint64_t>(trial));
+      for (int step = 0; step < n / 2; ++step) {
+        int victim = pick.uniform_int(0, n - 1);
+        while (pricer.is_disabled(victim)) victim = (victim + 1) % n;
+        pricer.disable_post(victim);
+        for (int p = 0; p < n; ++p) {
+          SCOPED_TRACE("trial " + std::to_string(trial) + " step " + std::to_string(step) +
+                       " post " + std::to_string(p));
+          const int parent = pricer.parent(p);
+          EXPECT_EQ(parent == -1, !std::isfinite(pricer.distance(p)));
+          if (parent == -1 || parent == bs) continue;
+          EXPECT_FALSE(pricer.is_disabled(parent));
+          EXPECT_TRUE(std::isfinite(pricer.distance(parent)));
+        }
+      }
+    }
+  }
+}
+
 TEST(Pricer, DisableRejectsBadUse) {
   util::Rng rng(1429);
   const Instance inst = test::random_instance(6, 12, 100.0, rng);

@@ -128,5 +128,16 @@ TEST(RoutingTree, DepthsThrowOnIncompleteTree) {
   EXPECT_THROW(t.depths(), std::logic_error);
 }
 
+TEST(RoutingTree, DepthsThrowOnParentCycle) {
+  // Two posts naming each other: the walk up the parents must stop instead
+  // of growing its chain without bound.
+  RoutingTree t(3, 3);
+  t.set_parent(0, 3);
+  t.set_parent(1, 2);
+  t.set_parent(2, 1);
+  EXPECT_THROW(t.depths(), std::logic_error);
+  EXPECT_THROW(t.leaves_first_order(), std::logic_error);
+}
+
 }  // namespace
 }  // namespace wrsn::graph

@@ -4,7 +4,8 @@
 
 #include "core/rfh.hpp"
 #include "helpers.hpp"
-#include "sim/charger.hpp"
+#include "sim/charger_sim.hpp"
+#include "sim/charging_policy.hpp"
 #include "sim/network_sim.hpp"
 
 namespace wrsn::sim {
@@ -148,11 +149,13 @@ TEST(ScheduledNetwork, BurstsStressChargerBeyondAverage) {
   charger_cfg.low_watermark = 0.45;
 
   NetworkSim flat_net(plan.instance, plan.solution, flat_cfg);
-  PatrolSim flat(flat_net, charger_cfg);
+  ChargerSim flat(flat_net, charger_cfg, 1,
+                  make_charging_policy("nearest-deficit:tiebreak=distance"));
   flat.run(1000);
 
   NetworkSim burst_net(plan.instance, plan.solution, burst_cfg);
-  PatrolSim burst(burst_net, charger_cfg);
+  ChargerSim burst(burst_net, charger_cfg, 1,
+                   make_charging_policy("nearest-deficit:tiebreak=distance"));
   burst.run(1000);
 
   EXPECT_FALSE(flat.stats().any_death) << "constant equivalent load must be sustainable";
