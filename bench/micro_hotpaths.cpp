@@ -17,6 +17,7 @@
 #include <sys/resource.h>
 
 #include <cmath>
+#include <functional>
 #include <map>
 #include <queue>
 #include <string>
@@ -50,9 +51,12 @@ double legacy_tx_energy(const core::Instance& inst, int from, int to) {
   return inst.radio().tx_energy(inst.graph().min_level(from, to));
 }
 
+// Historical type-erased weight of the directed edge from -> to.
+using LegacyWeight = std::function<double(int from, int to)>;
+
 // Historical charging-aware weight: std::function with captured state.
-graph::WeightFn legacy_recharging_weight(const core::Instance& instance,
-                                         const std::vector<int>& deployment) {
+LegacyWeight legacy_charging_weight(const core::Instance& instance,
+                                        const std::vector<int>& deployment) {
   const int bs = instance.graph().base_station();
   std::vector<double> inv_eff(deployment.size());
   for (std::size_t i = 0; i < deployment.size(); ++i) {
@@ -68,8 +72,7 @@ graph::WeightFn legacy_recharging_weight(const core::Instance& instance,
 // Historical Dijkstra: priority_queue, per-relaxation reachable() probing,
 // tight-predecessor extraction over all vertex pairs.
 graph::ShortestPathDag legacy_shortest_paths_to_base(const graph::ReachGraph& graph,
-                                                     const graph::WeightFn& weight,
-                                                     double rel_tie_eps = 1e-9) {
+                                                     const LegacyWeight& weight) {
   const int n = graph.num_vertices();
   const int bs = graph.base_station();
   graph::ShortestPathDag dag;
@@ -114,7 +117,7 @@ graph::ShortestPathDag legacy_shortest_paths_to_base(const graph::ReachGraph& gr
       const double via = dag.dist[static_cast<std::size_t>(u)] + w;
       const double scale =
           std::max({std::fabs(dag.dist[static_cast<std::size_t>(v)]), std::fabs(via), 1e-300});
-      if (std::fabs(dag.dist[static_cast<std::size_t>(v)] - via) <= rel_tie_eps * scale) {
+      if (std::fabs(dag.dist[static_cast<std::size_t>(v)] - via) <= graph::kRelTieEps * scale) {
         dag.parents[static_cast<std::size_t>(v)].push_back(u);
       }
     }
@@ -126,7 +129,7 @@ graph::ShortestPathDag legacy_shortest_paths_to_base(const graph::ReachGraph& gr
 double legacy_optimal_cost_for_deployment(const core::Instance& instance,
                                           const std::vector<int>& deployment) {
   const auto dag = legacy_shortest_paths_to_base(instance.graph(),
-                                                 legacy_recharging_weight(instance, deployment));
+                                                 legacy_charging_weight(instance, deployment));
   if (!dag.all_posts_reachable) return graph::kInfinity;
   double total = 0.0;
   for (int p = 0; p < instance.num_posts(); ++p) {
@@ -269,32 +272,25 @@ BENCHMARK(BM_edge_cost_cached);
 
 void BM_dijkstra_legacy(benchmark::State& state) {
   const auto& inst = pricing_instance();
-  const auto weight = legacy_recharging_weight(inst, pricing_deployment());
+  const auto weight = legacy_charging_weight(inst, pricing_deployment());
   for (auto _ : state) {
     benchmark::DoNotOptimize(legacy_shortest_paths_to_base(inst.graph(), weight));
   }
 }
 BENCHMARK(BM_dijkstra_legacy);
 
+// A lambda forwarding to the weight hides its bounds(), so Dijkstra runs
+// the binary heap: the reference loop for the Dial queue.
 void BM_dijkstra_heap(benchmark::State& state) {
   const auto& inst = pricing_instance();
-  const core::DenseRechargingWeight weight(inst, pricing_deployment());
+  const core::RechargingWeight weight(inst, pricing_deployment());
+  const auto heap_weight = [&weight](int from, int to, double tx) { return weight(from, to, tx); };
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::shortest_paths_to_base(
-        inst.graph(), inst.adjacency(), weight, 1e-9, graph::DijkstraVariant::kHeap));
+    benchmark::DoNotOptimize(
+        graph::shortest_paths_to_base(inst.graph(), inst.adjacency(), heap_weight));
   }
 }
 BENCHMARK(BM_dijkstra_heap);
-
-void BM_dijkstra_dense(benchmark::State& state) {
-  const auto& inst = pricing_instance();
-  const core::DenseRechargingWeight weight(inst, pricing_deployment());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::shortest_paths_to_base(
-        inst.graph(), inst.adjacency(), weight, 1e-9, graph::DijkstraVariant::kDense));
-  }
-}
-BENCHMARK(BM_dijkstra_dense);
 
 void BM_price_deployment_legacy(benchmark::State& state) {
   const auto& inst = pricing_instance();
@@ -304,25 +300,28 @@ void BM_price_deployment_legacy(benchmark::State& state) {
 }
 BENCHMARK(BM_price_deployment_legacy);
 
+// optimal_cost_for_deployment's steps on reused buffers (rebind the weight,
+// distance-only Dijkstra, sum), with the weight behind a forwarding lambda
+// so the heap runs.
 void BM_price_deployment_cached_heap(benchmark::State& state) {
   const auto& inst = pricing_instance();
-  core::CostEvalScratch scratch;
+  const auto& deployment = pricing_deployment();
+  core::RechargingWeight weight(inst, deployment);
+  const auto heap_weight = [&weight](int from, int to, double tx) { return weight(from, to, tx); };
+  graph::DijkstraScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(optimal_cost_for_deployment(inst, pricing_deployment(), scratch,
-                                                         graph::DijkstraVariant::kHeap));
+    weight.assign(deployment);
+    graph::shortest_distances_to_base(inst.graph(), inst.adjacency(), heap_weight, scratch);
+    double total = 0.0;
+    for (int p = 0; p < inst.num_posts(); ++p) {
+      total += inst.report_rate(p) * scratch.dist[static_cast<std::size_t>(p)];
+      total += inst.charging().charger_energy_for(inst.static_energy(p),
+                                                  deployment[static_cast<std::size_t>(p)]);
+    }
+    benchmark::DoNotOptimize(total);
   }
 }
 BENCHMARK(BM_price_deployment_cached_heap);
-
-void BM_price_deployment_cached_dense(benchmark::State& state) {
-  const auto& inst = pricing_instance();
-  core::CostEvalScratch scratch;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(optimal_cost_for_deployment(inst, pricing_deployment(), scratch,
-                                                         graph::DijkstraVariant::kDense));
-  }
-}
-BENCHMARK(BM_price_deployment_cached_dense);
 
 // Candidate-move pricing, the local-search inner loop: one fresh Dijkstra
 // per move (the pre-PR-4 path) ...
@@ -392,8 +391,7 @@ BENCHMARK(BM_sparse_instance_build)
 
 // Whole-deployment pricing (one charging-aware Dijkstra + cost fold) on the
 // sparse path; kAuto resolves to the bucket queue here because the packed
-// adjacency carries weight bounds and the degree is far below dense's
-// break-even.
+// adjacency carries weight bounds.
 void BM_sparse_price_deployment(benchmark::State& state) {
   const auto& inst = sparse_instance(static_cast<int>(state.range(0)));
   const std::vector<int> deployment(static_cast<std::size_t>(inst.num_posts()), 2);

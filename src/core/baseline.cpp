@@ -17,11 +17,13 @@ BaselineResult solve_min_hop_baseline(const Instance& instance) {
   // Hop count as the dominant term, per-bit energy as the tie-break: the
   // epsilon must be small enough that no energy sum ever outweighs a hop.
   const double max_tx = instance.radio().tx_energy(instance.radio().num_levels() - 1);
-  const double scale = 1e-3 / (max_tx + instance.rx_energy());
-  const graph::WeightFn weight = [&instance, scale](int from, int to) {
-    return 1.0 + scale * (instance.tx_energy(from, to) + instance.rx_energy());
+  const double rx = instance.rx_energy();
+  const double scale = 1e-3 / (max_tx + rx);
+  const auto weight = [scale, rx](int /*from*/, int /*to*/, double tx) {
+    return 1.0 + scale * (tx + rx);
   };
-  const auto dag = graph::shortest_paths_to_base(instance.graph(), weight);
+  const auto dag =
+      graph::shortest_paths_to_base(instance.graph(), instance.adjacency(), weight);
   if (!dag.all_posts_reachable) {
     throw InfeasibleInstance("some post cannot reach the base station");
   }
@@ -33,8 +35,8 @@ BaselineResult solve_min_hop_baseline(const Instance& instance) {
 }
 
 BaselineResult solve_balanced_baseline(const Instance& instance, bool rx_in_weight) {
-  const auto dag = graph::shortest_paths_to_base(instance.graph(),
-                                                 energy_weight(instance, rx_in_weight));
+  const auto dag = graph::shortest_paths_to_base(instance.graph(), instance.adjacency(),
+                                                 EnergyWeight(instance, rx_in_weight));
   if (!dag.all_posts_reachable) {
     throw InfeasibleInstance("some post cannot reach the base station");
   }

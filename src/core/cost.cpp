@@ -52,33 +52,6 @@ double total_recharging_cost(const Instance& instance, const Solution& solution)
   return total;
 }
 
-graph::WeightFn energy_weight(const Instance& instance, bool include_rx) {
-  const int bs = instance.graph().base_station();
-  return [&instance, include_rx, bs](int from, int to) {
-    double w = instance.tx_energy(from, to);
-    if (include_rx && to != bs) w += instance.rx_energy();
-    return w;
-  };
-}
-
-graph::WeightFn recharging_weight(const Instance& instance, const std::vector<int>& deployment) {
-  if (static_cast<int>(deployment.size()) != instance.num_posts()) {
-    throw std::invalid_argument("deployment size does not match the instance");
-  }
-  const int bs = instance.graph().base_station();
-  // Pre-compute 1/(k(m) eta) per post; the weight lambda must stay cheap
-  // because Dijkstra calls it O(N^2) times per run.
-  std::vector<double> inv_eff(deployment.size());
-  for (std::size_t i = 0; i < deployment.size(); ++i) {
-    inv_eff[i] = 1.0 / instance.charging().efficiency(deployment[i]);
-  }
-  return [&instance, inv_eff = std::move(inv_eff), bs](int from, int to) {
-    double w = instance.tx_energy(from, to) * inv_eff[static_cast<std::size_t>(from)];
-    if (to != bs) w += instance.rx_energy() * inv_eff[static_cast<std::size_t>(to)];
-    return w;
-  };
-}
-
 RechargingWeight::RechargingWeight(const Instance& instance,
                                    const std::vector<int>& deployment)
     : instance_(&instance),
@@ -127,7 +100,7 @@ double optimal_cost_for_deployment(const Instance& instance, const std::vector<i
 }
 
 double optimal_cost_for_deployment(const Instance& instance, const std::vector<int>& deployment,
-                                   CostEvalScratch& scratch, graph::DijkstraVariant variant) {
+                                   CostEvalScratch& scratch) {
   if (static_cast<int>(deployment.size()) != instance.num_posts()) {
     throw std::invalid_argument("deployment size does not match the instance");
   }
@@ -137,7 +110,7 @@ double optimal_cost_for_deployment(const Instance& instance, const std::vector<i
     scratch.weight->assign(deployment);
   }
   const bool reachable = graph::shortest_distances_to_base(
-      instance.graph(), instance.adjacency(), *scratch.weight, scratch.dijkstra, variant);
+      instance.graph(), instance.adjacency(), *scratch.weight, scratch.dijkstra);
   if (!reachable) return graph::kInfinity;
   // Each source contributes its rate times its per-bit path cost; static
   // draws are routed-independent but still paid through the post's

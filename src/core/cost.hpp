@@ -31,28 +31,23 @@ double tree_energy(const Instance& instance, const graph::RoutingTree& tree);
 /// The objective value: total charger energy per round for `solution`.
 double total_recharging_cost(const Instance& instance, const Solution& solution);
 
-/// Edge-weight function for basic RFH Phase I: w(u,v) = e_tx(u->v), plus
-/// the receiver's e_r when `include_rx` and v is not the base station.
-graph::WeightFn energy_weight(const Instance& instance, bool include_rx = false);
-
-/// Charging-aware edge weight used by iterative RFH, IDB and the exact
-/// solver:  w(u,v) = e_tx(u->v)/(k(m_u) eta) + [v != base] e_r/(k(m_v) eta).
+/// Charging-aware edge weight used by iterative RFH, IDB, local search and
+/// the exact solver:
+///   w(u,v) = e_tx(u->v)/(k(m_u) eta) + [v != base] e_r/(k(m_v) eta).
 /// With this weight, the sum over all posts of their shortest-path distance
 /// to the base equals the total recharging cost of the induced tree -- so a
 /// single Dijkstra run both *finds* the optimal routing for a fixed
 /// deployment and *prices* it.
-graph::WeightFn recharging_weight(const Instance& instance, const std::vector<int>& deployment);
-
-/// Concrete-type counterpart of `recharging_weight` for the templated
-/// Dijkstra.  The hot form is the 3-argument packed-tx call: the relaxation
-/// loops stream each edge's tx energy from the ReachAdjacency arrays, so
+///
+/// The hot form is the 3-argument packed-tx call: the relaxation loops
+/// stream each edge's tx energy from the ReachAdjacency arrays, so
 /// evaluating a weight is one multiply with no (N+1)^2 matrix behind it --
 /// which is what lets sparse-path solves skip the dense tx cache entirely.
-/// The 2-argument form stays for cold random-access call sites (RFH sibling
-/// merging, ad-hoc lambdas) and looks the edge up through the instance.
-/// Rebindable with zero allocation -- a single-node move a -> b updates
-/// exactly the two touched efficiencies via `set_node_count` -- and exposes
-/// `bounds()` so `DijkstraVariant::kAuto` can pick the bucket queue.
+/// The 2-argument form stays for cold random-access call sites and looks
+/// the edge up through the instance.  Rebindable with zero allocation -- a
+/// single-node move a -> b updates exactly the two touched efficiencies via
+/// `set_node_count` -- and exposes `bounds()` so the Dijkstra can size its
+/// bucket queue.
 class RechargingWeight {
  public:
   RechargingWeight(const Instance& instance, const std::vector<int>& deployment);
@@ -61,13 +56,17 @@ class RechargingWeight {
   void assign(const std::vector<int>& deployment);
   /// Post `post` now holds `m` nodes; O(1).
   void set_node_count(int post, int m);
+  /// Takes post `post` out of service: every edge into or out of it weighs
+  /// +infinity (DeploymentPricer::disable_post).
+  void disable(int post) { inv_eff_.at(static_cast<std::size_t>(post)) = graph::kInfinity; }
+  /// 1/(k(m) eta) of post `post`'s current node count.
+  double inv_efficiency(int post) const { return inv_eff_[static_cast<std::size_t>(post)]; }
   const Instance& instance() const noexcept { return *instance_; }
 
   /// Packed-tx hot path: `tx` is the per-edge transmit energy streamed from
   /// the adjacency arrays.  `from` is always a post here: the reversed-edge
   /// Dijkstra never relaxes an edge out of the base station (it settles
-  /// first), and the tight-edge scan only prices post -> * edges -- same
-  /// contract as recharging_weight.
+  /// first), and the tight-edge scan only prices post -> * edges.
   double operator()(int from, int to, double tx) const noexcept {
     double w = tx * inv_eff_[static_cast<std::size_t>(from)];
     if (to != bs_) w += rx_ * inv_eff_[static_cast<std::size_t>(to)];
@@ -90,10 +89,9 @@ class RechargingWeight {
   std::vector<double> inv_eff_;  // 1/(k(m) eta), indexed by post
 };
 
-/// Concrete-type counterpart of `energy_weight` (same values) for the
-/// templated Dijkstra: w = tx energy, plus e_r when `include_rx` and the
-/// receiver is not the base station.  Same packed-tx/random-access split as
-/// RechargingWeight.
+/// Edge weight for basic RFH Phase I and the balanced baseline:
+/// w(u,v) = e_tx(u->v), plus e_r when `include_rx` and v is not the base
+/// station.  Same packed-tx/random-access split as RechargingWeight.
 class EnergyWeight {
  public:
   EnergyWeight(const Instance& instance, bool include_rx);
@@ -116,11 +114,6 @@ class EnergyWeight {
   int bs_;
   bool include_rx_;
 };
-
-/// Historical names, kept so out-of-tree call sites and docs migrate at
-/// their own pace ("dense" no longer describes the storage behind them).
-using DenseRechargingWeight = RechargingWeight;
-using DenseEnergyWeight = EnergyWeight;
 
 /// Reusable deployment-pricing state: one Dijkstra run's buffers plus the
 /// rebindable weight.  Lets callers price thousands of deployments with
@@ -145,8 +138,7 @@ double optimal_cost_for_deployment(const Instance& instance, const std::vector<i
 /// long-lived scratch so per-candidate pricing allocates nothing and skips
 /// the tight-edge DAG extraction entirely.
 double optimal_cost_for_deployment(const Instance& instance, const std::vector<int>& deployment,
-                                   CostEvalScratch& scratch,
-                                   graph::DijkstraVariant variant = graph::DijkstraVariant::kAuto);
+                                   CostEvalScratch& scratch);
 
 /// Extracts a single-parent shortest-path tree from a DAG (first tight
 /// parent, deterministic).

@@ -543,8 +543,8 @@ ExactResult solve_exact(const Instance& instance, const ExactOptions& options) {
   shared_prunes_total.increment(shared.shared_prunes.load(std::memory_order_relaxed));
   subtrees_total.increment(static_cast<std::uint64_t>(shared.tasks.size()));
 
-  const auto dag = graph::shortest_paths_to_base(instance.graph(),
-                                                 recharging_weight(instance, shared.best));
+  const auto dag = graph::shortest_paths_to_base(instance.graph(), instance.adjacency(),
+                                                 RechargingWeight(instance, shared.best));
   ExactResult result{Solution{spt_from_dag(dag), shared.best},
                      0.0,
                      shared.evaluations.load(std::memory_order_relaxed),

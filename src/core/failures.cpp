@@ -129,8 +129,8 @@ FailureImpact assess_failure(const Instance& instance, const Solution& solution,
   impact.cost_fixed_deployment = optimal_cost_for_deployment(sub.instance, kept);
 
   // Map the re-optimized routing back to original indices.
-  const auto dag = graph::shortest_paths_to_base(sub.instance.graph(),
-                                                 recharging_weight(sub.instance, kept));
+  const auto dag = graph::shortest_paths_to_base(sub.instance.graph(), sub.instance.adjacency(),
+                                                 RechargingWeight(sub.instance, kept));
   if (dag.all_posts_reachable) {
     graph::RoutingTree tree(instance.num_posts(), instance.graph().base_station());
     for (int a = 0; a < sub.instance.num_posts(); ++a) {

@@ -128,7 +128,7 @@ IdbResult solve_idb(const Instance& instance, const IdbOptions& options) {
   }
 
   // Final routing for the committed deployment.
-  const DenseRechargingWeight weight(instance, deployment);
+  const RechargingWeight weight(instance, deployment);
   const auto dag =
       graph::shortest_paths_to_base(instance.graph(), instance.adjacency(), weight);
   if (!dag.all_posts_reachable) {

@@ -303,7 +303,7 @@ LocalSearchResult refine_solution(const Instance& instance, const Solution& star
     if (!improved) break;
   }
 
-  const DenseRechargingWeight weight(instance, deployment);
+  const RechargingWeight weight(instance, deployment);
   const auto dag =
       graph::shortest_paths_to_base(instance.graph(), instance.adjacency(), weight);
   Solution refined{spt_from_dag(dag), deployment};

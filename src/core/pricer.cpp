@@ -22,31 +22,6 @@ void note_full_fallback() noexcept {
   fallbacks.increment();
 }
 
-// Concrete weight functor over a pricer-owned efficiency table, for the
-// templated full-recompute Dijkstra (same arithmetic as
-// DeploymentPricer::weight_with and core::RechargingWeight).  Packed-tx
-// form only: the templated loops always stream the per-edge tx energy, so
-// no dense matrix sits behind this.
-struct TableWeight {
-  const Instance* instance;
-  const std::vector<double>* inv;
-  int bs;
-  double rx;
-
-  double operator()(int from, int to, double tx) const noexcept {
-    double w = tx * (*inv)[static_cast<std::size_t>(from)];
-    if (to != bs) w += rx * (*inv)[static_cast<std::size_t>(to)];
-    return w;
-  }
-
-  graph::WeightBounds bounds() const {
-    const auto [min_it, max_it] = std::minmax_element(inv->begin(), inv->end());
-    const auto& adj = instance->adjacency();
-    return graph::WeightBounds{adj.min_tx() * *min_it,
-                               adj.max_tx() * *max_it + rx * *max_it};
-  }
-};
-
 }  // namespace
 
 DeploymentPricer::DeploymentPricer(const Instance& instance, std::vector<int> deployment)
@@ -57,10 +32,11 @@ DeploymentPricer::DeploymentPricer(const Instance& instance, std::vector<int> de
     : instance_(&instance),
       options_(options),
       bs_(instance.graph().base_station()),
-      rx_(instance.rx_energy()),
       deployment_(std::move(deployment)),
+      weight_(instance, deployment_),
       child_offset_(util::ArenaAllocator<int>(options.arena)),
       child_list_(util::ArenaAllocator<int>(options.arena)),
+      scratch_weight_(weight_),
       sources_(util::ArenaAllocator<int>(options.arena)),
       region_(util::ArenaAllocator<int>(options.arena)),
       in_region_(util::ArenaAllocator<char>(options.arena)),
@@ -68,26 +44,16 @@ DeploymentPricer::DeploymentPricer(const Instance& instance, std::vector<int> de
       settled_(util::ArenaAllocator<char>(options.arena)),
       full_scratch_(options.arena != nullptr ? graph::DijkstraScratch(*options.arena)
                                              : graph::DijkstraScratch()) {
+  // weight_ has already rejected a deployment of the wrong size.
   const int n = instance.num_posts();
-  if (static_cast<int>(deployment_.size()) != n) {
-    throw std::invalid_argument("deployment size does not match the instance");
-  }
-  inv_eff_.resize(deployment_.size());
-  for (std::size_t i = 0; i < deployment_.size(); ++i) {
-    inv_eff_[i] = inv_efficiency(static_cast<int>(i), deployment_[i]);
-  }
   disabled_.assign(deployment_.size(), 0);
-  full_recompute(inv_eff_, dist_, &parent_);
+  full_recompute(weight_, dist_, &parent_);
   static_sum_ = 0.0;
   for (int p = 0; p < n; ++p) {
-    static_sum_ += instance.static_energy(p) * inv_eff_[static_cast<std::size_t>(p)];
+    static_sum_ += instance.static_energy(p) * weight_.inv_efficiency(p);
   }
   base_cost_ = weighted_distance_sum(dist_) + static_sum_;
   in_region_.assign(static_cast<std::size_t>(n) + 1, 0);
-}
-
-double DeploymentPricer::inv_efficiency(int /*post*/, int count) const {
-  return 1.0 / instance_->charging().efficiency(count);
 }
 
 double DeploymentPricer::weighted_distance_sum(const std::vector<double>& dist) const {
@@ -109,17 +75,17 @@ double DeploymentPricer::weighted_distance_sum(const std::vector<double>& dist) 
   return total;
 }
 
-void DeploymentPricer::full_recompute(const std::vector<double>& inv,
+void DeploymentPricer::full_recompute(const RechargingWeight& weight,
                                       std::vector<double>& dist,
                                       std::vector<int>* parents) const {
+  const auto& adj = instance_->adjacency();
+  const int n = instance_->num_posts();
   if (num_disabled_ > 0) {
     // Disabled posts carry +infinity efficiency entries, which the shared
     // Dijkstra machinery rejects (detail::check_weight) -- and unreachable
     // survivors are expected here, not an error.  Run a dense Dijkstra that
     // tolerates both: infinite edges never relax, cut-off posts simply keep
     // kInfinity.
-    const auto& adj = instance_->adjacency();
-    const int n = instance_->num_posts();
     const std::size_t vertices = static_cast<std::size_t>(n) + 1;
     dist.assign(vertices, graph::kInfinity);
     dist[static_cast<std::size_t>(bs_)] = 0.0;
@@ -140,49 +106,24 @@ void DeploymentPricer::full_recompute(const std::vector<double>& inv,
       for (std::size_t i = 0; i < in.size(); ++i) {
         const int v = in[i];
         if (v == bs_ || settled_[static_cast<std::size_t>(v)]) continue;
-        const double cand = weight_with(inv, v, u, in_tx[i]) + du;
+        const double cand = weight(v, u, in_tx[i]) + du;
         if (cand < dist[static_cast<std::size_t>(v)]) dist[static_cast<std::size_t>(v)] = cand;
       }
     }
-    if (parents == nullptr) return;
-    parents->assign(static_cast<std::size_t>(n), -1);
-    for (int p = 0; p < n; ++p) {
-      if (!std::isfinite(dist[static_cast<std::size_t>(p)])) continue;
-      int best = -1;
-      double best_cost = graph::kInfinity;
-      const auto out = adj.out(p);
-      const double* out_tx = adj.out_tx(p);
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        const int u = out[i];
-        const double du = dist[static_cast<std::size_t>(u)];
-        if (!std::isfinite(du)) continue;
-        const double cand = weight_with(inv, p, u, out_tx[i]) + du;
-        if (cand < best_cost) {
-          best_cost = cand;
-          best = u;
-        }
-      }
-      (*parents)[static_cast<std::size_t>(p)] = best;
+  } else {
+    if (!graph::shortest_distances_to_base(instance_->graph(), adj, weight, full_scratch_)) {
+      throw InfeasibleInstance("some post cannot reach the base station");
     }
-    return;
+    dist.assign(full_scratch_.dist.begin(), full_scratch_.dist.end());
   }
-
-  const TableWeight weight{instance_, &inv, bs_, rx_};
-  const bool reachable = graph::shortest_distances_to_base(
-      instance_->graph(), instance_->adjacency(), weight, full_scratch_, options_.variant);
-  if (!reachable) {
-    throw InfeasibleInstance("some post cannot reach the base station");
-  }
-  dist.assign(full_scratch_.dist.begin(), full_scratch_.dist.end());
   if (parents == nullptr) return;
-  // Rebuild one strict-argmin tight parent per post.  The argmin (not a
-  // tolerance-tight first match) keeps decremental repair regions honest:
-  // a post whose cheapest next hop avoids post `a` never lands in a's
-  // invalidation region.
-  const auto& adj = instance_->adjacency();
-  const int n = instance_->num_posts();
+  // Rebuild one strict-argmin tight parent per reachable post.  The argmin
+  // (not a tolerance-tight first match) keeps decremental repair regions
+  // honest: a post whose cheapest next hop avoids post `a` never lands in
+  // a's invalidation region.  Disabled and cut-off posts keep parent -1.
   parents->assign(static_cast<std::size_t>(n), -1);
   for (int p = 0; p < n; ++p) {
+    if (!std::isfinite(dist[static_cast<std::size_t>(p)])) continue;
     int best = -1;
     double best_cost = graph::kInfinity;
     const auto out = adj.out(p);
@@ -191,19 +132,18 @@ void DeploymentPricer::full_recompute(const std::vector<double>& inv,
       const int u = out[i];
       const double du = dist[static_cast<std::size_t>(u)];
       if (!std::isfinite(du)) continue;
-      const double cand = weight_with(inv, p, u, out_tx[i]) + du;
+      const double cand = weight(p, u, out_tx[i]) + du;
       if (cand < best_cost) {
         best_cost = cand;
         best = u;
       }
     }
-    // Unreachable posts were rejected above, so an argmin always exists.
     (*parents)[static_cast<std::size_t>(p)] = best;
   }
 }
 
 void DeploymentPricer::improve_relax(const util::ArenaVector<int>& sources,
-                                     const std::vector<double>& inv,
+                                     const RechargingWeight& weight,
                                      std::vector<double>& dist,
                                      std::vector<int>* parents) const {
   const auto& adj = instance_->adjacency();
@@ -225,7 +165,7 @@ void DeploymentPricer::improve_relax(const util::ArenaVector<int>& sources,
         const int u = out[i];
         const double du = dist[static_cast<std::size_t>(u)];
         if (!std::isfinite(du)) continue;
-        const double cand = weight_with(inv, j, u, out_tx[i]) + du;
+        const double cand = weight(j, u, out_tx[i]) + du;
         if (cand < best) {
           best = cand;
           best_parent = u;
@@ -244,7 +184,7 @@ void DeploymentPricer::improve_relax(const util::ArenaVector<int>& sources,
     for (std::size_t i = 0; i < in.size(); ++i) {
       const int v = in[i];
       if (v == bs_) continue;
-      const double cand = weight_with(inv, v, j, in_tx[i]) + dist[static_cast<std::size_t>(j)];
+      const double cand = weight(v, j, in_tx[i]) + dist[static_cast<std::size_t>(j)];
       if (cand < dist[static_cast<std::size_t>(v)]) {
         dist[static_cast<std::size_t>(v)] = cand;
         if (parents != nullptr) (*parents)[static_cast<std::size_t>(v)] = j;
@@ -264,7 +204,7 @@ void DeploymentPricer::improve_relax(const util::ArenaVector<int>& sources,
     for (std::size_t i = 0; i < in.size(); ++i) {
       const int v = in[i];
       if (v == bs_) continue;
-      const double cand = weight_with(inv, v, u, in_tx[i]) + dist[static_cast<std::size_t>(u)];
+      const double cand = weight(v, u, in_tx[i]) + dist[static_cast<std::size_t>(u)];
       if (cand < dist[static_cast<std::size_t>(v)]) {
         dist[static_cast<std::size_t>(v)] = cand;
         if (parents != nullptr) (*parents)[static_cast<std::size_t>(v)] = u;
@@ -315,7 +255,7 @@ void DeploymentPricer::collect_region(int a) const {
   }
 }
 
-void DeploymentPricer::repair_increase(int a, const std::vector<double>& inv,
+void DeploymentPricer::repair_increase(int a, const RechargingWeight& weight,
                                        std::vector<double>& dist,
                                        std::vector<int>* parents) const {
   const int n = instance_->num_posts();
@@ -325,7 +265,7 @@ void DeploymentPricer::repair_increase(int a, const std::vector<double>& inv,
       options_.full_recompute_fraction * static_cast<double>(n)) {
     for (int v : region_) in_region_[static_cast<std::size_t>(v)] = 0;
     note_full_fallback();
-    full_recompute(inv, dist, parents);
+    full_recompute(weight, dist, parents);
     return;
   }
 
@@ -355,7 +295,7 @@ void DeploymentPricer::repair_increase(int a, const std::vector<double>& inv,
       if (in_region_[static_cast<std::size_t>(u)]) continue;
       const double du = dist[static_cast<std::size_t>(u)];
       if (!std::isfinite(du)) continue;
-      const double cand = weight_with(inv, v, u, out_tx[i]) + du;
+      const double cand = weight(v, u, out_tx[i]) + du;
       if (cand < best) {
         best = cand;
         best_parent = u;
@@ -380,7 +320,7 @@ void DeploymentPricer::repair_increase(int a, const std::vector<double>& inv,
     for (std::size_t i = 0; i < in.size(); ++i) {
       const int v = in[i];
       if (v == bs_ || !in_region_[static_cast<std::size_t>(v)]) continue;
-      const double cand = weight_with(inv, v, u, in_tx[i]) + dist[static_cast<std::size_t>(u)];
+      const double cand = weight(v, u, in_tx[i]) + dist[static_cast<std::size_t>(u)];
       if (cand < dist[static_cast<std::size_t>(v)]) {
         dist[static_cast<std::size_t>(v)] = cand;
         if (parents != nullptr) (*parents)[static_cast<std::size_t>(v)] = u;
@@ -396,13 +336,13 @@ double DeploymentPricer::cost_with_extra_node(int j) const {
   if (j < 0 || j >= instance_->num_posts()) throw std::out_of_range("post index out of range");
   if (is_disabled(j)) throw std::invalid_argument("cannot add a node to a disabled post");
   scratch_dist_ = dist_;
-  scratch_inv_ = inv_eff_;
-  const double inv_eff_j = inv_efficiency(j, deployment_[static_cast<std::size_t>(j)] + 1);
-  scratch_inv_[static_cast<std::size_t>(j)] = inv_eff_j;
-  const double static_term = static_sum_ + instance_->static_energy(j) *
-                                               (inv_eff_j - inv_eff_[static_cast<std::size_t>(j)]);
+  scratch_weight_ = weight_;
+  scratch_weight_.set_node_count(j, deployment_[static_cast<std::size_t>(j)] + 1);
+  const double static_term =
+      static_sum_ + instance_->static_energy(j) *
+                        (scratch_weight_.inv_efficiency(j) - weight_.inv_efficiency(j));
   sources_ = {j};
-  improve_relax(sources_, scratch_inv_, scratch_dist_, nullptr);
+  improve_relax(sources_, scratch_weight_, scratch_dist_, nullptr);
   return weighted_distance_sum(scratch_dist_) + static_term;
 }
 
@@ -412,12 +352,12 @@ double DeploymentPricer::cost_with_removed_node(int a) const {
     throw std::invalid_argument("cannot remove the last node from a post");
   }
   scratch_dist_ = dist_;
-  scratch_inv_ = inv_eff_;
-  const double inv_eff_a = inv_efficiency(a, deployment_[static_cast<std::size_t>(a)] - 1);
-  scratch_inv_[static_cast<std::size_t>(a)] = inv_eff_a;
-  const double static_term = static_sum_ + instance_->static_energy(a) *
-                                               (inv_eff_a - inv_eff_[static_cast<std::size_t>(a)]);
-  repair_increase(a, scratch_inv_, scratch_dist_, nullptr);
+  scratch_weight_ = weight_;
+  scratch_weight_.set_node_count(a, deployment_[static_cast<std::size_t>(a)] - 1);
+  const double static_term =
+      static_sum_ + instance_->static_energy(a) *
+                        (scratch_weight_.inv_efficiency(a) - weight_.inv_efficiency(a));
+  repair_increase(a, scratch_weight_, scratch_dist_, nullptr);
   return weighted_distance_sum(scratch_dist_) + static_term;
 }
 
@@ -428,45 +368,44 @@ double DeploymentPricer::cost_with_moved_node(int a, int b) const {
   if (deployment_[static_cast<std::size_t>(a)] < 2) {
     throw std::invalid_argument("cannot remove the last node from a post");
   }
-  const double inv_eff_a = inv_efficiency(a, deployment_[static_cast<std::size_t>(a)] - 1);
-  const double inv_eff_b = inv_efficiency(b, deployment_[static_cast<std::size_t>(b)] + 1);
   // Phase 1 -- the removal (weight increase) under {a new, b old}: repaired
   // distances are exact for that intermediate weight set.  Phase 2 -- the
   // addition, a pure weight decrease from there: improve-only relaxation
   // lands on the exact fixpoint for {a new, b new}.
   scratch_dist_ = dist_;
-  scratch_inv_ = inv_eff_;
-  scratch_inv_[static_cast<std::size_t>(a)] = inv_eff_a;
-  repair_increase(a, scratch_inv_, scratch_dist_, nullptr);
-  scratch_inv_[static_cast<std::size_t>(b)] = inv_eff_b;
+  scratch_weight_ = weight_;
+  scratch_weight_.set_node_count(a, deployment_[static_cast<std::size_t>(a)] - 1);
+  repair_increase(a, scratch_weight_, scratch_dist_, nullptr);
+  scratch_weight_.set_node_count(b, deployment_[static_cast<std::size_t>(b)] + 1);
   sources_ = {b};
-  improve_relax(sources_, scratch_inv_, scratch_dist_, nullptr);
+  improve_relax(sources_, scratch_weight_, scratch_dist_, nullptr);
   const double static_term =
       static_sum_ +
-      instance_->static_energy(a) * (inv_eff_a - inv_eff_[static_cast<std::size_t>(a)]) +
-      instance_->static_energy(b) * (inv_eff_b - inv_eff_[static_cast<std::size_t>(b)]);
+      instance_->static_energy(a) *
+          (scratch_weight_.inv_efficiency(a) - weight_.inv_efficiency(a)) +
+      instance_->static_energy(b) *
+          (scratch_weight_.inv_efficiency(b) - weight_.inv_efficiency(b));
   return weighted_distance_sum(scratch_dist_) + static_term;
 }
 
 double DeploymentPricer::cost_with_added_nodes(
     const std::vector<std::pair<int, int>>& extra) const {
   const int n = instance_->num_posts();
-  scratch_inv_ = inv_eff_;
+  scratch_weight_ = weight_;
   sources_.clear();
   double static_term = static_sum_;
   for (const auto& [j, count] : extra) {
     if (j < 0 || j >= n) throw std::out_of_range("post index out of range");
     if (count < 0) throw std::invalid_argument("extra node counts must be >= 0");
     if (count == 0) continue;
-    const double inv_eff_j = inv_efficiency(j, deployment_[static_cast<std::size_t>(j)] + count);
-    static_term +=
-        instance_->static_energy(j) * (inv_eff_j - scratch_inv_[static_cast<std::size_t>(j)]);
-    scratch_inv_[static_cast<std::size_t>(j)] = inv_eff_j;
+    const double old_inv = scratch_weight_.inv_efficiency(j);
+    scratch_weight_.set_node_count(j, deployment_[static_cast<std::size_t>(j)] + count);
+    static_term += instance_->static_energy(j) * (scratch_weight_.inv_efficiency(j) - old_inv);
     sources_.push_back(j);
   }
   if (sources_.empty()) return base_cost_;
   scratch_dist_ = dist_;
-  improve_relax(sources_, scratch_inv_, scratch_dist_, nullptr);
+  improve_relax(sources_, scratch_weight_, scratch_dist_, nullptr);
   return weighted_distance_sum(scratch_dist_) + static_term;
 }
 
@@ -474,11 +413,11 @@ void DeploymentPricer::add_node(int j) {
   if (j < 0 || j >= instance_->num_posts()) throw std::out_of_range("post index out of range");
   if (is_disabled(j)) throw std::invalid_argument("cannot add a node to a disabled post");
   ++deployment_[static_cast<std::size_t>(j)];
-  const double old_inv = inv_eff_[static_cast<std::size_t>(j)];
-  inv_eff_[static_cast<std::size_t>(j)] = inv_efficiency(j, deployment_[static_cast<std::size_t>(j)]);
-  static_sum_ += instance_->static_energy(j) * (inv_eff_[static_cast<std::size_t>(j)] - old_inv);
+  const double old_inv = weight_.inv_efficiency(j);
+  weight_.set_node_count(j, deployment_[static_cast<std::size_t>(j)]);
+  static_sum_ += instance_->static_energy(j) * (weight_.inv_efficiency(j) - old_inv);
   sources_ = {j};
-  improve_relax(sources_, inv_eff_, dist_, &parent_);
+  improve_relax(sources_, weight_, dist_, &parent_);
   children_stale_ = true;
   base_cost_ = weighted_distance_sum(dist_) + static_sum_;
 }
@@ -489,10 +428,10 @@ void DeploymentPricer::remove_node(int a) {
     throw std::invalid_argument("cannot remove the last node from a post");
   }
   --deployment_[static_cast<std::size_t>(a)];
-  const double old_inv = inv_eff_[static_cast<std::size_t>(a)];
-  inv_eff_[static_cast<std::size_t>(a)] = inv_efficiency(a, deployment_[static_cast<std::size_t>(a)]);
-  static_sum_ += instance_->static_energy(a) * (inv_eff_[static_cast<std::size_t>(a)] - old_inv);
-  repair_increase(a, inv_eff_, dist_, &parent_);
+  const double old_inv = weight_.inv_efficiency(a);
+  weight_.set_node_count(a, deployment_[static_cast<std::size_t>(a)]);
+  static_sum_ += instance_->static_energy(a) * (weight_.inv_efficiency(a) - old_inv);
+  repair_increase(a, weight_, dist_, &parent_);
   children_stale_ = true;
   base_cost_ = weighted_distance_sum(dist_) + static_sum_;
 }
@@ -512,16 +451,16 @@ void DeploymentPricer::disable_post(int a) {
   }
   // The static term leaves the objective before the efficiency goes to
   // +infinity (a destroyed site senses nothing and costs nothing).
-  static_sum_ -= instance_->static_energy(a) * inv_eff_[static_cast<std::size_t>(a)];
+  static_sum_ -= instance_->static_energy(a) * weight_.inv_efficiency(a);
   deployment_[static_cast<std::size_t>(a)] = 0;
-  inv_eff_[static_cast<std::size_t>(a)] = graph::kInfinity;
+  weight_.disable(a);
   disabled_[static_cast<std::size_t>(a)] = 1;
   ++num_disabled_;
   // Every edge through `a` just became unusable -- the same shape as a
   // removal's weight increase, so the same subtree-invalidation repair
   // applies.  `a` itself re-seeds to infinity (all its out-edges are
   // infinite); survivors re-attach through intact neighbors or stay cut off.
-  repair_increase(a, inv_eff_, dist_, &parent_);
+  repair_increase(a, weight_, dist_, &parent_);
   dist_[static_cast<std::size_t>(a)] = graph::kInfinity;
   parent_[static_cast<std::size_t>(a)] = -1;
   children_stale_ = true;

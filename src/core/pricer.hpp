@@ -16,7 +16,7 @@
 //     (the "repair region"), re-seeds each region vertex from its intact
 //     out-neighbors, and re-runs a Dijkstra bounded to the region.  When the
 //     region exceeds `Options::full_recompute_fraction` of the posts it
-//     falls back to one full dense recompute instead;
+//     falls back to one full recompute instead;
 //   * moves (a -> b) compose a removal repair and an addition relaxation;
 //   * disabling a post (site destroyed, all nodes lost) drives its edge
 //     weights to +infinity and repairs the survivors the same way a removal
@@ -53,10 +53,8 @@ class DeploymentPricer {
   struct Options {
     /// Decremental repairs whose region exceeds this fraction of the posts
     /// fall back to one full recompute (the bounded repair would do more
-    /// work than a fresh dense Dijkstra).
+    /// work than a fresh Dijkstra).
     double full_recompute_fraction = 0.5;
-    /// Inner-loop variant for full recomputes (construction and fallback).
-    graph::DijkstraVariant variant = graph::DijkstraVariant::kAuto;
     /// When set, the pricer's reusable repair/evaluation buffers live in
     /// this arena (one arena per worker, same lifetime discipline as the
     /// pricer itself; see util/arena.hpp).
@@ -112,30 +110,19 @@ class DeploymentPricer {
   int parent(int p) const { return parent_.at(static_cast<std::size_t>(p)); }
 
  private:
-  // Edge weight under the efficiency table `inv`: the charging-aware
-  // w(u,v) = e_tx(u,v)/(k(m_u) eta) + [v != base] e_r/(k(m_v) eta).
-  // `tx` is the per-edge transmit energy streamed from the packed
-  // ReachAdjacency arrays -- every caller sits inside an adjacency loop, so
-  // the dense tx matrix is never touched (the sparse-path contract).
-  double weight_with(const std::vector<double>& inv, int u, int v, double tx) const {
-    double w = tx * inv[static_cast<std::size_t>(u)];
-    if (v != bs_) w += rx_ * inv[static_cast<std::size_t>(v)];
-    return w;
-  }
-
   /// Improve-only relaxation seeded at `sources` (posts whose efficiency
   /// just improved): restores the fixpoint after weight decreases.  Updates
   /// `parents` when non-null.
-  void improve_relax(const util::ArenaVector<int>& sources, const std::vector<double>& inv,
+  void improve_relax(const util::ArenaVector<int>& sources, const RechargingWeight& weight,
                      std::vector<double>& dist, std::vector<int>* parents) const;
   /// Decremental repair after a weight increase at post `a`: invalidates
   /// a's parent-tree subtree, re-seeds it, and reruns a bounded Dijkstra
   /// over the region (or falls back to `full_recompute`).
-  void repair_increase(int a, const std::vector<double>& inv, std::vector<double>& dist,
+  void repair_increase(int a, const RechargingWeight& weight, std::vector<double>& dist,
                        std::vector<int>* parents) const;
-  /// One fresh dense-machinery Dijkstra under `inv`; rebuilds `parents`
-  /// from scratch when non-null.
-  void full_recompute(const std::vector<double>& inv, std::vector<double>& dist,
+  /// One fresh Dijkstra under `weight`; rebuilds `parents` from scratch when
+  /// non-null.
+  void full_recompute(const RechargingWeight& weight, std::vector<double>& dist,
                       std::vector<int>* parents) const;
   /// Collects a's subtree in the committed parent tree into `region_` /
   /// `in_region_` (caller must clear `in_region_` flags afterwards).
@@ -144,14 +131,12 @@ class DeploymentPricer {
   void refresh_children() const;
   /// Sum over posts of report_rate(p) * dist[p].
   double weighted_distance_sum(const std::vector<double>& dist) const;
-  double inv_efficiency(int post, int count) const;
 
   const Instance* instance_;
   Options options_;
   int bs_ = 0;
-  double rx_ = 0.0;
   std::vector<int> deployment_;
-  std::vector<double> inv_eff_;  // 1/(k(m) eta) per post; +inf when disabled
+  RechargingWeight weight_;      // committed efficiencies; +inf when disabled
   std::vector<double> dist_;     // per vertex, exact for current deployment
   std::vector<int> parent_;      // per post: a tight next hop toward the base
                                  // (-1 for disabled/unreachable posts)
@@ -170,7 +155,7 @@ class DeploymentPricer {
   // Reusable buffers for candidate evaluation and repair.  They make the
   // const pricing methods non-reentrant: one pricer per thread.
   mutable std::vector<double> scratch_dist_;
-  mutable std::vector<double> scratch_inv_;
+  mutable RechargingWeight scratch_weight_;
   mutable util::ArenaVector<int> sources_;
   mutable util::ArenaVector<int> region_;
   mutable util::ArenaVector<char> in_region_;

@@ -105,23 +105,20 @@ graph::RoutingTree trim_fat_tree(graph::ShortestPathDag& dag) {
   return tree;
 }
 
-void merge_siblings(const Instance& instance, const graph::WeightFn& weight,
-                    graph::RoutingTree& tree) {
-  const auto& g = instance.graph();
+template <class WeightT>
+void merge_siblings(const Instance& instance, const WeightT& weight, graph::RoutingTree& tree) {
+  const auto& adj = instance.adjacency();
   const int n = instance.num_posts();
   const std::vector<std::vector<int>> children = tree.children();
   std::vector<int> workload = tree.descendant_counts();
 
-  // On CSR-backed graphs the head scan walks the kid's neighbor list and
-  // filters by head membership instead of probing every head for
-  // reachability: O(deg(kid)) per kid instead of O(|heads|) random probes.
-  // `head_pos` records each head's insertion rank so the winner is the same
-  // lexicographic (cost, insertion-order) minimum the dense scan picks --
-  // identical weight() calls, so bit-identical trees (pinned by
+  // The head scan walks the kid's out-edges and filters by head membership
+  // instead of probing every head for reachability: O(deg(kid)) per kid.
+  // `head_pos` records each head's insertion rank, so the winner is the
+  // lexicographic (cost, insertion-order) minimum whatever order the edges
+  // come in (pinned against the probe scan by
   // MergeSiblings.SparseMatchesDenseOracle).
-  const bool sparse = g.is_sparse();
-  std::vector<int> head_pos;
-  if (sparse) head_pos.assign(static_cast<std::size_t>(n), -1);
+  std::vector<int> head_pos(static_cast<std::size_t>(n), -1);
 
   // Examine every vertex that has at least two children, base station
   // included. Children are considered busiest-first so heads end up being
@@ -137,46 +134,38 @@ void merge_siblings(const Instance& instance, const graph::WeightFn& weight,
     std::vector<int> heads;
     for (int kid : kids) {
       // Cheapest head this kid can reach more cheaply than its parent;
-      // exact-cost ties keep the earliest-inserted head, matching the
-      // insertion-order scan below.
+      // exact-cost ties keep the earliest-inserted head.
       int best_head = -1;
+      int best_rank = n;
       double best_cost = weight(kid, parent_vertex);
-      if (sparse) {
-        int best_rank = n;
-        g.for_each_out_edge(kid, [&](int to, int /*level*/) {
-          if (to >= n) return;  // base station is never a head
-          const int rank = head_pos[static_cast<std::size_t>(to)];
-          if (rank < 0) return;
-          const double c = weight(kid, to);
-          if (c < best_cost || (best_head >= 0 && c == best_cost && rank < best_rank)) {
-            best_cost = c;
-            best_head = to;
-            best_rank = rank;
-          }
-        });
-      } else {
-        for (int head : heads) {
-          if (!g.reachable(kid, head)) continue;
-          const double c = weight(kid, head);
-          if (c < best_cost) {
-            best_cost = c;
-            best_head = head;
-          }
+      const auto out = adj.out(kid);
+      const double* tx = adj.out_tx(kid);
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        const int to = out[i];
+        if (to >= n) continue;  // base station is never a head
+        const int rank = head_pos[static_cast<std::size_t>(to)];
+        if (rank < 0) continue;
+        const double c = weight(kid, to, tx[i]);
+        if (c < best_cost || (best_head >= 0 && c == best_cost && rank < best_rank)) {
+          best_cost = c;
+          best_head = to;
+          best_rank = rank;
         }
       }
       if (best_head >= 0) {
         tree.set_parent(kid, best_head);
       } else {
-        if (sparse) head_pos[static_cast<std::size_t>(kid)] = static_cast<int>(heads.size());
+        head_pos[static_cast<std::size_t>(kid)] = static_cast<int>(heads.size());
         heads.push_back(kid);
       }
     }
-    if (sparse) {
-      for (int head : heads) head_pos[static_cast<std::size_t>(head)] = -1;
-    }
+    for (int head : heads) head_pos[static_cast<std::size_t>(head)] = -1;
   }
   if (!tree.is_valid()) throw std::logic_error("Phase III produced an invalid tree");
 }
+
+template void merge_siblings(const Instance&, const EnergyWeight&, graph::RoutingTree&);
+template void merge_siblings(const Instance&, const RechargingWeight&, graph::RoutingTree&);
 
 std::vector<double> phase4_weights(const Instance& instance, const graph::RoutingTree& tree,
                                    WorkloadKind kind) {
@@ -208,8 +197,8 @@ RfhResult solve_rfh(const Instance& instance, const RfhOptions& options) {
       0};
 
   std::vector<int> deployment;  // empty until the first Phase IV
-  const DenseEnergyWeight energy(instance, options.rx_in_weight);
-  std::optional<DenseRechargingWeight> recharging;  // rebound per iteration
+  const EnergyWeight energy(instance, options.rx_in_weight);
+  std::optional<RechargingWeight> recharging;  // rebound per iteration
   for (int iter = 0; iter < options.iterations; ++iter) {
     WRSN_TRACE_SPAN("rfh/iteration");
     // Phase I weights: plain per-bit energy on the first pass, true
@@ -248,12 +237,11 @@ RfhResult solve_rfh(const Instance& instance, const RfhOptions& options) {
     }();
     if (options.merge_siblings) {
       WRSN_TRACE_SPAN("rfh/phase3");
-      // merge_siblings keeps the type-erased WeightFn API (it prices O(n^2)
-      // hops at most, far off the hot path); wrap the dense weights.
-      const graph::WeightFn weight =
-          charging_aware ? graph::WeightFn([&](int u, int v) { return (*recharging)(u, v); })
-                         : graph::WeightFn([&](int u, int v) { return energy(u, v); });
-      rfh_detail::merge_siblings(instance, weight, tree);
+      if (charging_aware) {
+        rfh_detail::merge_siblings(instance, *recharging, tree);
+      } else {
+        rfh_detail::merge_siblings(instance, energy, tree);
+      }
     }
 
     {

@@ -93,10 +93,11 @@ graph::RoutingTree trim_fat_tree(graph::ShortestPathDag& dag);
 void trim_subtree(graph::ShortestPathDag& dag, graph::DagReach& reach, int p);
 
 /// Phase III: re-homes children onto sibling heads where strictly cheaper
-/// than reaching the parent. `weight` prices a directed hop (same function
-/// used to build the tree). Mutates `tree` in place.
-void merge_siblings(const Instance& instance, const graph::WeightFn& weight,
-                    graph::RoutingTree& tree);
+/// than reaching the parent. `weight` prices a directed hop (the weight
+/// used to build the tree); instantiated for EnergyWeight and
+/// RechargingWeight. Mutates `tree` in place.
+template <class WeightT>
+void merge_siblings(const Instance& instance, const WeightT& weight, graph::RoutingTree& tree);
 
 /// Phase IV workload vector for `tree` under the chosen kind.
 std::vector<double> phase4_weights(const Instance& instance, const graph::RoutingTree& tree,

@@ -33,4 +33,19 @@ double ChargingModel::gain(int m) const {
   return static_cast<double>(m);
 }
 
+std::optional<ChargingKind> charging_kind_from_name(std::string_view name) {
+  if (name == "linear") return ChargingKind::Linear;
+  if (name == "sublinear") return ChargingKind::SubLinear;
+  if (name == "saturating") return ChargingKind::Saturating;
+  return std::nullopt;
+}
+
+std::optional<ChargingModel> charging_model_from_name(std::string_view name, double eta,
+                                                      double param) {
+  const std::optional<ChargingKind> kind = charging_kind_from_name(name);
+  if (!kind.has_value()) return std::nullopt;
+  if (*kind == ChargingKind::Linear) return ChargingModel::linear(eta);
+  return ChargingModel(eta, *kind, param);
+}
+
 }  // namespace wrsn::energy

@@ -8,7 +8,9 @@
 // can probe sensitivity to that modelling choice (ablation A3 in DESIGN.md).
 #pragma once
 
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 
 namespace wrsn::energy {
 
@@ -58,5 +60,16 @@ class ChargingModel {
   ChargingKind kind_;
   double param_;
 };
+
+/// The kind named "linear", "sublinear" or "saturating" -- the names every
+/// scenario and instance format uses.  nullopt for any other name, so each
+/// format reports it in its own terms.
+std::optional<ChargingKind> charging_kind_from_name(std::string_view name);
+
+/// The model of the kind named `name` (as above) with single-node
+/// efficiency `eta` and shape parameter `param` (ignored for linear);
+/// nullopt for an unknown name.
+std::optional<ChargingModel> charging_model_from_name(std::string_view name, double eta,
+                                                      double param);
 
 }  // namespace wrsn::energy

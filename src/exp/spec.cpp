@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -51,12 +52,8 @@ std::vector<double> double_axis_from_json(const io::Json& json) {
 }
 
 energy::ChargingModel make_charging(const SweepSpec& spec, double eta) {
-  if (spec.charging_kind == "linear") return energy::ChargingModel::linear(eta);
-  if (spec.charging_kind == "sublinear") {
-    return energy::ChargingModel::sub_linear(eta, spec.charging_param);
-  }
-  if (spec.charging_kind == "saturating") {
-    return energy::ChargingModel::saturating(eta, spec.charging_param);
+  if (auto model = energy::charging_model_from_name(spec.charging_kind, eta, spec.charging_param)) {
+    return *model;
   }
   bad_spec("unknown charging kind '" + spec.charging_kind +
            "' (expected linear|sublinear|saturating)");
@@ -249,13 +246,13 @@ core::Instance SweepSpec::build_instance(const ScenarioConfig& config,
   field_config.num_posts = config.posts;
   const auto radio = energy::RadioModel::uniform_levels(config.levels, range_step);
   util::Rng rng(field_seed);
-  for (int attempt = 0; attempt < 10000; ++attempt) {
-    const geom::Field field = geom::generate_field(field_config, rng);
-    if (!geom::is_connected(field, radio.max_range())) continue;
-    return core::Instance::geometric(field, radio, make_charging(*this, config.eta),
-                                     config.nodes);
+  std::optional<geom::Field> field =
+      geom::generate_connected_field(field_config, radio.max_range(), rng, 10000);
+  if (!field.has_value()) {
+    throw std::runtime_error("could not sample a connected field for " + config.label());
   }
-  throw std::runtime_error("could not sample a connected field for " + config.label());
+  return core::Instance::geometric(std::move(*field), radio, make_charging(*this, config.eta),
+                                   config.nodes);
 }
 
 io::Json SweepSpec::to_json() const {

@@ -142,4 +142,13 @@ bool is_connected(const Field& field, double max_range) {
   return reached == n + 1;
 }
 
+std::optional<Field> generate_connected_field(const FieldConfig& config, double max_range,
+                                              util::Rng& rng, int max_attempts) {
+  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+    Field field = generate_field(config, rng);
+    if (is_connected(field, max_range)) return field;
+  }
+  return std::nullopt;
+}
+
 }  // namespace wrsn::geom

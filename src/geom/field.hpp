@@ -6,6 +6,7 @@
 // applications and by connectivity stress tests.
 #pragma once
 
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -63,5 +64,11 @@ Field line_field(double length, int num_posts, double offset_y = 0.0);
 /// Verifies that every post can reach the base station through hops of at
 /// most `max_range` meters. Returns true when the field is connected.
 bool is_connected(const Field& field, double max_range);
+
+/// Draws fields per `config` from `rng` until one is connected at
+/// `max_range`, at most `max_attempts` draws; nullopt when none is.  The
+/// draws are exactly those of calling generate_field that many times.
+std::optional<Field> generate_connected_field(const FieldConfig& config, double max_range,
+                                              util::Rng& rng, int max_attempts);
 
 }  // namespace wrsn::geom

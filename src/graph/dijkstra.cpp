@@ -8,32 +8,15 @@ namespace wrsn::graph {
 
 namespace detail {
 
-void note_run(ResolvedVariant v) noexcept {
+void note_run(bool dial) noexcept {
   // Cached references: the registry lock is taken once per process, not per
   // run (obs sits below graph in the layering, see CONTRIBUTING.md).
-  static obs::Counter& dense_runs = obs::Registry::global().counter("dijkstra/dense_runs");
   static obs::Counter& heap_runs = obs::Registry::global().counter("dijkstra/heap_runs");
   static obs::Counter& dial_runs = obs::Registry::global().counter("dijkstra/dial_runs");
-  switch (v) {
-    case ResolvedVariant::kDense:
-      dense_runs.increment();
-      break;
-    case ResolvedVariant::kHeap:
-      heap_runs.increment();
-      break;
-    case ResolvedVariant::kBucket:
-      dial_runs.increment();
-      break;
-  }
+  (dial ? dial_runs : heap_runs).increment();
 }
 
 }  // namespace detail
-
-ShortestPathDag shortest_paths_to_base(const ReachGraph& graph, const WeightFn& weight,
-                                       double rel_tie_eps) {
-  const ReachAdjacency adj(graph);
-  return shortest_paths_to_base(graph, adj, weight, rel_tie_eps);
-}
 
 DagReach compute_dag_reach(const ShortestPathDag& dag) {
   const int n = dag.num_vertices();

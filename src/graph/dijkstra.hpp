@@ -6,24 +6,21 @@
 // which Phase II then trims by concentrating workload.  We compute the DAG
 // in one Dijkstra pass from the base station over reversed edges.
 //
-// Two ways to supply edge weights:
-//   * the templated overloads take any callable by concrete type, so the
-//     compiler inlines the weight into the relaxation loop.  A 3-argument
-//     callable `w(from, to, tx)` receives the per-edge transmit energy
-//     packed inside the ReachAdjacency, streamed in lockstep with the
-//     neighbor ids (the solver hot paths pass core::RechargingWeight this
-//     way -- no (N+1)^2 matrix behind it); a plain 2-argument callable
-//     still works and looks the edge up itself.
-//   * the `WeightFn` (std::function) overload is kept as a thin adapter for
-//     cold call sites and ad-hoc lambdas.
-// The templated overloads also take a prebuilt `ReachAdjacency` so repeated
-// runs over one graph skip the O(N^2) reachability probing, and offer three
-// inner loops: a binary heap, a dense O(N^2) no-heap settle scan, and a
-// bucket-queue (Dial) variant that exploits the narrow edge-weight range the
-// paper's small discrete level set produces.  `DijkstraVariant::kAuto` picks
-// dense on high-degree graphs, buckets when the weight advertises usable
-// `bounds()`, and the heap otherwise (docs/performance.md has the
-// crossovers).  All variants produce bit-identical results.
+// The weight is any callable, taken by concrete type so the compiler
+// inlines it into the relaxation loop.  A 3-argument callable
+// `w(from, to, tx)` receives the per-edge transmit energy packed inside the
+// ReachAdjacency, streamed in lockstep with the neighbor ids (the solvers
+// pass core::RechargingWeight or core::EnergyWeight this way -- no (N+1)^2
+// matrix behind them); a plain 2-argument callable still works and looks
+// the edge up itself.  The caller supplies a prebuilt `ReachAdjacency`, so
+// repeated runs over one graph skip the reachability probing.
+//
+// One inner loop does the work: a bucket queue (Dial) that exploits the
+// narrow edge-weight range the paper's small discrete level set produces,
+// with a binary heap as its fallback for weights that advertise no usable
+// `bounds()` or whose range needs more than `kMaxBuckets` buckets
+// (docs/performance.md).  Both produce bit-identical results; a lambda that
+// forwards to a weight class hides its bounds and so runs the heap.
 #pragma once
 
 #include <algorithm>
@@ -40,10 +37,6 @@
 #include "util/arena.hpp"
 
 namespace wrsn::graph {
-
-/// Weight of the directed edge from -> to. Called only for reachable pairs;
-/// must return a strictly positive finite value.
-using WeightFn = std::function<double(int from, int to)>;
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
@@ -75,16 +68,9 @@ struct ShortestPathDag {
   int num_vertices() const noexcept { return static_cast<int>(dist.size()); }
 };
 
-/// Which inner loop a Dijkstra run uses.
-enum class DijkstraVariant {
-  kAuto,    ///< dense when the graph is dense enough, else bucket when the
-            ///< weight advertises usable bounds(), else heap
-  kHeap,    ///< binary heap, O(E log V) -- the sparse-graph generalist
-  kDense,   ///< no-heap linear-scan settle, O(V^2 + E) -- wins on dense ones
-  kBucket,  ///< Dial bucket queue, O(E + buckets) -- wins on sparse graphs
-            ///< with a narrow weight range; falls back to the heap when the
-            ///< weight has no usable bounds()
-};
+/// Relative tolerance under which two path costs count as equal when the
+/// tight-predecessor DAG is extracted.
+constexpr double kRelTieEps = 1e-9;
 
 /// Reusable buffers for repeated Dijkstra runs over one graph; at steady
 /// state a run performs zero allocations.  One per thread in parallel
@@ -99,27 +85,17 @@ struct DijkstraScratch {
 
   util::ArenaVector<double> dist;
   util::ArenaVector<char> settled;
-  util::ArenaVector<std::pair<double, int>> heap;  // heap-variant storage
-  // Bucket-variant storage (kept on the global heap: the outer vector is
+  util::ArenaVector<std::pair<double, int>> heap;  // heap-loop storage
+  // Bucket-loop storage (kept on the global heap: the outer vector is
   // resized rarely and the inner ones retain capacity across runs).
   std::vector<std::vector<std::pair<double, int>>> buckets;
 };
 
 namespace detail {
 
-/// True when the dense O(V^2) settle scan is expected to beat the heap:
-/// the scan costs ~V^2 flat reads while the heap pays O(log V) bookkeeping
-/// per relaxation, so density (E/V relative to V) decides.
-inline bool prefer_dense(double avg_degree, int num_vertices) noexcept {
-  return avg_degree * 8.0 >= static_cast<double>(num_vertices);
-}
-
-/// Which inner loop actually ran, for the obs counters.
-enum class ResolvedVariant { kDense, kHeap, kBucket };
-
-/// Bumps the obs counters dijkstra/{dense,heap,dial}_runs (defined in the
-/// .cpp so this header stays free of obs includes).
-void note_run(ResolvedVariant v) noexcept;
+/// Bumps the obs counter dijkstra/dial_runs or dijkstra/heap_runs (defined
+/// in the .cpp so this header stays free of obs includes).
+void note_run(bool dial) noexcept;
 
 inline void check_weight(double w) {
   if (!(w > 0.0) || !std::isfinite(w)) {
@@ -127,10 +103,10 @@ inline void check_weight(double w) {
   }
 }
 
-inline bool tight_edge(double dist_v, double dist_u, double weight, double rel_eps) {
+inline bool tight_edge(double dist_v, double dist_u, double weight) {
   const double via = dist_u + weight;
   const double scale = std::max({std::fabs(dist_v), std::fabs(via), 1e-300});
-  return std::fabs(dist_v - via) <= rel_eps * scale;
+  return std::fabs(dist_v - via) <= kRelTieEps * scale;
 }
 
 /// Detects the packed-tx weight form `w(from, to, tx)`.
@@ -203,8 +179,7 @@ inline void require_tx(const ReachAdjacency& adj) {
 /// extraction of `shortest_paths_to_base` is skipped entirely.
 template <class WeightT>
 bool shortest_distances_to_base(const ReachGraph& graph, const ReachAdjacency& adj,
-                                const WeightT& weight, DijkstraScratch& scratch,
-                                DijkstraVariant variant = DijkstraVariant::kAuto) {
+                                const WeightT& weight, DijkstraScratch& scratch) {
   const int n = graph.num_vertices();
   const int bs = graph.base_station();
   detail::require_tx<WeightT>(adj);
@@ -214,47 +189,11 @@ bool shortest_distances_to_base(const ReachGraph& graph, const ReachAdjacency& a
   settled.assign(static_cast<std::size_t>(n), 0);
   dist[static_cast<std::size_t>(bs)] = 0.0;
 
-  using detail::ResolvedVariant;
-  ResolvedVariant resolved = ResolvedVariant::kHeap;
-  WeightBounds wb;
-  std::size_t num_buckets = 0;
-  if (variant == DijkstraVariant::kDense ||
-      (variant == DijkstraVariant::kAuto && detail::prefer_dense(adj.avg_degree(), n))) {
-    resolved = ResolvedVariant::kDense;
-  } else if (variant == DijkstraVariant::kBucket || variant == DijkstraVariant::kAuto) {
-    wb = detail::weight_bounds(weight);
-    num_buckets = detail::bucket_count(wb);
-    resolved = num_buckets > 0 ? ResolvedVariant::kBucket : ResolvedVariant::kHeap;
-  }
-  detail::note_run(resolved);
+  const WeightBounds wb = detail::weight_bounds(weight);
+  const std::size_t num_buckets = detail::bucket_count(wb);
+  detail::note_run(num_buckets > 0);
 
-  if (resolved == ResolvedVariant::kDense) {
-    for (int round = 0; round < n; ++round) {
-      int u = -1;
-      double best = kInfinity;
-      for (int v = 0; v < n; ++v) {
-        if (!settled[static_cast<std::size_t>(v)] && dist[static_cast<std::size_t>(v)] < best) {
-          best = dist[static_cast<std::size_t>(v)];
-          u = v;
-        }
-      }
-      if (u < 0) break;  // the rest is unreachable
-      settled[static_cast<std::size_t>(u)] = 1;
-      const double d = dist[static_cast<std::size_t>(u)];
-      const auto in = adj.in(u);
-      const double* tx = adj.in_tx(u);
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        const int v = in[i];
-        if (settled[static_cast<std::size_t>(v)]) continue;
-        const double w = detail::eval_weight(weight, v, u, tx, i);
-        detail::check_weight(w);
-        const double candidate = d + w;
-        if (candidate < dist[static_cast<std::size_t>(v)]) {
-          dist[static_cast<std::size_t>(v)] = candidate;
-        }
-      }
-    }
-  } else if (resolved == ResolvedVariant::kBucket) {
+  if (num_buckets > 0) {
     // Dial's algorithm over real weights: tentative distances of pending
     // vertices span at most max_weight, so a circular array of
     // ceil(max/width) + slack buckets indexed by floor(d / width) (mod size)
@@ -331,20 +270,18 @@ bool shortest_distances_to_base(const ReachGraph& graph, const ReachAdjacency& a
 }
 
 /// Runs Dijkstra from the base station over reversed edges and extracts the
-/// tight-predecessor DAG. `rel_tie_eps` controls when two path costs are
-/// considered equal (relative comparison).  Templated over the weight type;
-/// pass a prebuilt adjacency to amortize the neighbor lists across runs.
+/// tight-predecessor DAG; two path costs tie within `kRelTieEps` (relative
+/// comparison).
 template <class WeightT>
 ShortestPathDag shortest_paths_to_base(const ReachGraph& graph, const ReachAdjacency& adj,
-                                       const WeightT& weight, double rel_tie_eps = 1e-9,
-                                       DijkstraVariant variant = DijkstraVariant::kAuto) {
+                                       const WeightT& weight) {
   const int n = graph.num_vertices();
   const int bs = graph.base_station();
   DijkstraScratch scratch;
   ShortestPathDag dag;
   dag.base_station = bs;
   dag.all_posts_reachable =
-      shortest_distances_to_base(graph, adj, weight, scratch, variant);
+      shortest_distances_to_base(graph, adj, weight, scratch);
   dag.dist.assign(scratch.dist.begin(), scratch.dist.end());
   dag.parents.assign(static_cast<std::size_t>(n), {});
 
@@ -361,7 +298,7 @@ ShortestPathDag shortest_paths_to_base(const ReachGraph& graph, const ReachAdjac
       if (!std::isfinite(dag.dist[static_cast<std::size_t>(u)])) continue;
       const double w = detail::eval_weight(weight, v, u, tx, i);
       if (detail::tight_edge(dag.dist[static_cast<std::size_t>(v)],
-                             dag.dist[static_cast<std::size_t>(u)], w, rel_tie_eps)) {
+                             dag.dist[static_cast<std::size_t>(u)], w)) {
         dag.parents[static_cast<std::size_t>(v)].push_back(u);
       }
     }
@@ -385,11 +322,6 @@ ShortestPathDag shortest_paths_to_base(const ReachGraph& graph, const ReachAdjac
   }
   return dag;
 }
-
-/// Type-erased adapter over the templated overload: builds a fresh
-/// adjacency per call, so prefer the templated form in loops.
-ShortestPathDag shortest_paths_to_base(const ReachGraph& graph, const WeightFn& weight,
-                                       double rel_tie_eps = 1e-9);
 
 /// Reachability closure of a (possibly trimmed) shortest-path DAG.
 struct DagReach {

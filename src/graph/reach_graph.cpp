@@ -140,43 +140,6 @@ double ReachGraph::distance(int from, int to) const {
   return distance_[index(from, to)];
 }
 
-ReachGraph::NeighborRange ReachGraph::out_neighbors(int from) const {
-  check_vertex(from);
-  NeighborRange r;
-  if (storage_ == Storage::kSparse) {
-    r.begin_.ptr_ = csr_nbr_.data() + csr_offset_[static_cast<std::size_t>(from)];
-    r.end_.ptr_ = csr_nbr_.data() + csr_offset_[static_cast<std::size_t>(from) + 1];
-    return r;
-  }
-  r.begin_.g_ = this;
-  r.begin_.fixed_ = from;
-  r.begin_.out_ = true;
-  r.begin_.cur_ = 0;
-  r.begin_.skip_unreachable();
-  r.end_ = r.begin_;
-  r.end_.cur_ = num_vertices();
-  return r;
-}
-
-ReachGraph::NeighborRange ReachGraph::in_neighbors(int to) const {
-  check_vertex(to);
-  NeighborRange r;
-  if (storage_ == Storage::kSparse) {
-    // Symmetric geometry: the in-row equals the out-row.
-    r.begin_.ptr_ = csr_nbr_.data() + csr_offset_[static_cast<std::size_t>(to)];
-    r.end_.ptr_ = csr_nbr_.data() + csr_offset_[static_cast<std::size_t>(to) + 1];
-    return r;
-  }
-  r.begin_.g_ = this;
-  r.begin_.fixed_ = to;
-  r.begin_.out_ = false;
-  r.begin_.cur_ = 0;
-  r.begin_.skip_unreachable();
-  r.end_ = r.begin_;
-  r.end_.cur_ = num_vertices();
-  return r;
-}
-
 bool ReachGraph::connected_to_base() const {
   // BFS from the base station along *reversed* edges: u is reached when it
   // can transmit (possibly multi-hop) to the base station.  O(E) on sparse
@@ -247,7 +210,6 @@ void ReachAdjacency::build(const ReachGraph& graph, const energy::RadioModel* ra
       ++ic;
     });
   }
-  avg_degree_ = static_cast<double>(edges) / static_cast<double>(n);
 }
 
 std::size_t ReachAdjacency::checked(int v) const {

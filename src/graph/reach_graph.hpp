@@ -22,9 +22,7 @@
 // instead of the dense O(n^2) pair scan (docs/performance.md).
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
-#include <iterator>
 #include <span>
 #include <vector>
 
@@ -65,7 +63,6 @@ class ReachGraph {
   int num_vertices() const noexcept { return num_posts_ + 1; }
   /// Index of the base-station vertex.
   int base_station() const noexcept { return num_posts_; }
-  bool is_post(int v) const noexcept { return v >= 0 && v < num_posts_; }
 
   /// Sets the minimum level for the directed pair (from -> to).
   /// Throws std::logic_error on sparse graphs (immutable by design).
@@ -80,14 +77,6 @@ class ReachGraph {
   /// Distance between two vertices in meters (geometric graphs only; 0 for
   /// abstract graphs).
   double distance(int from, int to) const;
-
-  /// Lazy, allocation-free view over a vertex's neighbors: a packed-array
-  /// span on sparse graphs, a filtered row/column scan on dense ones.
-  class NeighborRange;
-  /// All vertices `from` can transmit to (excluding itself), ascending.
-  NeighborRange out_neighbors(int from) const;
-  /// All vertices that can transmit to `to` (excluding itself), ascending.
-  NeighborRange in_neighbors(int to) const;
 
   /// Calls `fn(to, level)` for every out-edge of `from`, ascending by `to`.
   template <class Fn>
@@ -125,76 +114,6 @@ class ReachGraph {
   std::vector<int> csr_nbr_;          // ascending within each row
   std::vector<int> csr_level_;        // parallel to csr_nbr_
   std::vector<geom::Point> positions_;  // per vertex, base station last
-};
-
-class ReachGraph::NeighborRange {
- public:
-  class Iterator {
-   public:
-    using iterator_category = std::forward_iterator_tag;
-    using value_type = int;
-    using difference_type = std::ptrdiff_t;
-    using pointer = const int*;
-    using reference = int;
-
-    Iterator() = default;
-    int operator*() const noexcept { return ptr_ != nullptr ? *ptr_ : cur_; }
-    Iterator& operator++() {
-      if (ptr_ != nullptr) {
-        ++ptr_;
-      } else {
-        ++cur_;
-        skip_unreachable();
-      }
-      return *this;
-    }
-    Iterator operator++(int) {
-      Iterator tmp = *this;
-      ++*this;
-      return tmp;
-    }
-    friend bool operator==(const Iterator& a, const Iterator& b) noexcept {
-      return a.ptr_ != nullptr ? a.ptr_ == b.ptr_ : a.cur_ == b.cur_;
-    }
-    friend bool operator!=(const Iterator& a, const Iterator& b) noexcept { return !(a == b); }
-
-   private:
-    friend class NeighborRange;
-    friend class ReachGraph;
-    // Sparse mode walks [ptr_, ...); dense mode scans vertex ids in cur_,
-    // filtering unreachable pairs against the level matrix.
-    const int* ptr_ = nullptr;
-    const ReachGraph* g_ = nullptr;
-    int fixed_ = 0;
-    int cur_ = 0;
-    bool out_ = true;
-
-    void skip_unreachable() noexcept {
-      const int n = g_->num_vertices();
-      while (cur_ < n) {
-        if (cur_ != fixed_) {
-          const int level = out_ ? g_->min_level_[dense_index(fixed_, cur_, n)]
-                                 : g_->min_level_[dense_index(cur_, fixed_, n)];
-          if (level != kUnreachable) break;
-        }
-        ++cur_;
-      }
-    }
-  };
-
-  Iterator begin() const noexcept { return begin_; }
-  Iterator end() const noexcept { return end_; }
-  bool empty() const noexcept { return !(begin_ != end_); }
-  /// Materializes the range (tests / cold call sites).
-  std::vector<int> to_vector() const { return std::vector<int>(begin(), end()); }
-  friend bool operator==(const NeighborRange& r, const std::vector<int>& v) {
-    return std::equal(r.begin(), r.end(), v.begin(), v.end());
-  }
-
- private:
-  friend class ReachGraph;
-  Iterator begin_;
-  Iterator end_;
 };
 
 template <class Fn>
@@ -274,9 +193,6 @@ class ReachAdjacency {
   const double* out_tx(int v) const {
     return out_tx_.empty() ? nullptr : out_tx_.data() + out_off_[checked(v)];
   }
-  /// Directed edges divided by vertices -- the density signal the Dijkstra
-  /// variant selection keys on.
-  double avg_degree() const noexcept { return avg_degree_; }
   /// Smallest / largest packed per-edge tx energy (+inf / 0 when edgeless
   /// or tx-less) -- weight classes derive Dial bucket bounds from these.
   double min_tx() const noexcept { return min_tx_; }
@@ -295,7 +211,6 @@ class ReachAdjacency {
   std::vector<std::size_t> out_off_;  // num_vertices_+1
   std::vector<int> out_nbr_;
   std::vector<double> out_tx_;
-  double avg_degree_ = 0.0;
   double min_tx_ = 0.0;
   double max_tx_ = 0.0;
 };

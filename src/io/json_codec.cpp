@@ -83,9 +83,7 @@ energy::ChargingModel charging_from_json(const Json& json) {
   const double eta = json.at("eta").as_double();
   const std::string& kind = json.at("kind").as_string();
   const double param = json.contains("param") ? json.at("param").as_double() : 1.0;
-  if (kind == "linear") return energy::ChargingModel::linear(eta);
-  if (kind == "sublinear") return energy::ChargingModel::sub_linear(eta, param);
-  if (kind == "saturating") return energy::ChargingModel::saturating(eta, param);
+  if (auto model = energy::charging_model_from_name(kind, eta, param)) return *model;
   throw JsonError("unknown charging kind '" + kind + "'");
 }
 

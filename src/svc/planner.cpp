@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -46,23 +47,18 @@ geom::Field sample_field(const Scenario& scenario) {
   cfg.width = scenario.side;
   cfg.height = scenario.side;
   cfg.num_posts = scenario.posts;
-  geom::Field field = geom::generate_field(cfg, rng);
-  int attempts = 0;
-  while (!geom::is_connected(field, radio.max_range()) && ++attempts < 1000) {
-    field = geom::generate_field(cfg, rng);
-  }
-  if (!geom::is_connected(field, radio.max_range())) {
+  std::optional<geom::Field> field =
+      geom::generate_connected_field(cfg, radio.max_range(), rng, 1000);
+  if (!field.has_value()) {
     throw std::runtime_error("could not sample a connected field for the scenario (1000 tries)");
   }
-  return field;
+  return std::move(*field);
 }
 
 energy::ChargingModel make_charging(const Scenario& scenario) {
-  if (scenario.charging_kind == "linear") return energy::ChargingModel::linear(scenario.eta);
-  if (scenario.charging_kind == "sublinear") {
-    return energy::ChargingModel::sub_linear(scenario.eta, scenario.charging_param);
-  }
-  return energy::ChargingModel::saturating(scenario.eta, scenario.charging_param);
+  return energy::charging_model_from_name(scenario.charging_kind, scenario.eta,
+                                          scenario.charging_param)
+      .value();
 }
 
 core::Instance build_instance(const Scenario& scenario) {

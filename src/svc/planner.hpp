@@ -49,7 +49,9 @@ core::SolverSpec resolve_solver_spec(const PlanOptions& options);
 /// disconnected at the radio's max range, up to 1000 attempts.
 geom::Field sample_field(const Scenario& scenario);
 
-/// The scenario's charging model (linear | sublinear | saturating).
+/// The scenario's charging model (linear | sublinear | saturating, the
+/// kinds Scenario::from_json accepts; std::bad_optional_access for any
+/// other).
 energy::ChargingModel make_charging(const Scenario& scenario);
 
 /// Field -> full instance under the scenario's radio/charging/budget.

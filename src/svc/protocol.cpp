@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "energy/charging_model.hpp"
 #include "exp/spec.hpp"
 
 namespace wrsn::svc {
@@ -162,8 +163,7 @@ Scenario Scenario::from_json(const io::Json& json) {
   if (scenario.levels < 1) throw std::invalid_argument("scenario levels must be >= 1");
   if (scenario.range_step <= 0.0) throw std::invalid_argument("scenario range_step must be > 0");
   if (scenario.eta <= 0.0) throw std::invalid_argument("scenario eta must be > 0");
-  if (scenario.charging_kind != "linear" && scenario.charging_kind != "sublinear" &&
-      scenario.charging_kind != "saturating") {
+  if (!energy::charging_kind_from_name(scenario.charging_kind).has_value()) {
     throw std::invalid_argument("scenario charging kind must be linear|sublinear|saturating");
   }
   return scenario;

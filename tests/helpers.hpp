@@ -1,8 +1,12 @@
 // Shared fixtures for the wrsn test suite.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "core/instance.hpp"
 #include "geom/field.hpp"
+#include "graph/routing_tree.hpp"
 #include "util/rng.hpp"
 
 namespace wrsn::test {
@@ -52,6 +56,33 @@ inline core::Instance random_instance(int num_posts, int num_nodes, double side,
 inline core::Instance random_instance(int num_posts, int num_nodes, double side,
                                       util::Rng& rng) {
   return random_instance(num_posts, num_nodes, side, rng, paper_charging());
+}
+
+/// FNV-1a (64-bit) over an int sequence, for pinning long deployments in
+/// golden tests.
+inline std::uint64_t fnv1a(const std::vector<int>& values) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const int v : values) {
+    hash ^= static_cast<std::uint32_t>(v);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// FNV-1a over a tree's parent vector, post by post (unset parents hash as
+/// kNoParent).
+inline std::uint64_t parent_hash(const graph::RoutingTree& tree) {
+  std::vector<int> parents(static_cast<std::size_t>(tree.num_posts()));
+  for (int p = 0; p < tree.num_posts(); ++p) parents[static_cast<std::size_t>(p)] = tree.parent(p);
+  return fnv1a(parents);
+}
+
+/// Forwards every call to `weight` but has no bounds() member, so Dijkstra
+/// runs its binary heap on it: the reference the Dial queue is compared to.
+/// `weight` must outlive the returned callable.
+template <class WeightT>
+auto heap_only(const WeightT& weight) {
+  return [&weight](auto... args) -> decltype(weight(args...)) { return weight(args...); };
 }
 
 }  // namespace wrsn::test

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 
 #include "helpers.hpp"
@@ -106,6 +107,46 @@ TEST(SolveBaseline, CostMatchesEvaluator) {
   const Instance inst = test::random_instance(12, 30, 150.0, rng);
   const BaselineResult result = solve_balanced_baseline(inst);
   EXPECT_NEAR(result.cost, total_recharging_cost(inst, result.solution), result.cost * 1e-12);
+}
+
+TEST(SolveBaseline, GoldenTreesAndCosts) {
+  // Exact outputs recorded while both baselines still priced edges through
+  // the type-erased weight adapter: every tree (FNV-1a over the parent
+  // vector) and every cost must match to the last bit.  Fields at the
+  // paper's N = 300 density; the 1200-post field takes sparse storage.
+  struct Golden {
+    int posts;
+    std::uint64_t seed;
+    std::uint64_t min_hop_hash;
+    double min_hop_cost;
+    std::uint64_t balanced_hash;
+    double balanced_cost;
+    std::uint64_t energy_only_hash;
+    double energy_only_cost;
+  };
+  const std::vector<Golden> goldens = {
+      {30, 9101, 13057510119871074693ULL, 0.00026412500000000009, 13057510119871074693ULL,
+       0.00026412500000000009, 3309864061881047933ULL, 0.00026693229166666673},
+      {200, 9102, 7074904038689861126ULL, 0.0041795442708333309, 7074904038689861126ULL,
+       0.0041795442708333309, 14375681268898129472ULL, 0.0043305455729166714},
+      {1200, 9103, 8413881901751450442ULL, 0.06544058333333308, 14177221064838527813ULL,
+       0.065435802083333064, 2059563148267974564ULL, 0.068822247395832994},
+  };
+  for (const Golden& golden : goldens) {
+    util::Rng rng(golden.seed);
+    const double side = std::round(500.0 * std::sqrt(golden.posts / 300.0));
+    const Instance inst = test::random_instance(golden.posts, 3 * golden.posts, side, rng);
+    const BaselineResult min_hop = solve_min_hop_baseline(inst);
+    const BaselineResult balanced = solve_balanced_baseline(inst);
+    const BaselineResult energy_only = solve_balanced_baseline(inst, false);
+    EXPECT_EQ(test::parent_hash(min_hop.solution.tree), golden.min_hop_hash) << golden.posts;
+    EXPECT_EQ(min_hop.cost, golden.min_hop_cost) << golden.posts;
+    EXPECT_EQ(test::parent_hash(balanced.solution.tree), golden.balanced_hash) << golden.posts;
+    EXPECT_EQ(balanced.cost, golden.balanced_cost) << golden.posts;
+    EXPECT_EQ(test::parent_hash(energy_only.solution.tree), golden.energy_only_hash)
+        << golden.posts;
+    EXPECT_EQ(energy_only.cost, golden.energy_only_cost) << golden.posts;
+  }
 }
 
 }  // namespace

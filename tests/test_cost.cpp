@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 
 #include "core/baseline.hpp"
@@ -73,8 +74,8 @@ TEST(Cost, PerPostEnergyRequiresValidTree) {
 
 TEST(Cost, EnergyWeightMatchesTxEnergy) {
   const Instance inst = test::chain_instance(3, 3);
-  const auto w_plain = energy_weight(inst, false);
-  const auto w_rx = energy_weight(inst, true);
+  const EnergyWeight w_plain(inst, false);
+  const EnergyWeight w_rx(inst, true);
   const int bs = inst.graph().base_station();
   EXPECT_DOUBLE_EQ(w_plain(1, 0), inst.tx_energy(1, 0));
   EXPECT_DOUBLE_EQ(w_rx(1, 0), inst.tx_energy(1, 0) + inst.rx_energy());
@@ -86,11 +87,11 @@ TEST(Cost, RechargingWeightScalesWithDeployment) {
   const Instance inst = test::chain_instance(3, 6);
   const double eta = inst.charging().eta();
   const std::vector<int> deployment{2, 1, 3};
-  const auto w = recharging_weight(inst, deployment);
+  const RechargingWeight w(inst, deployment);
   const int bs = inst.graph().base_station();
   EXPECT_NEAR(w(0, bs), inst.tx_energy(0, bs) / (2.0 * eta), 1e-9);
   EXPECT_NEAR(w(1, 0), inst.tx_energy(1, 0) / eta + inst.rx_energy() / (2.0 * eta), 1e-9);
-  EXPECT_THROW(recharging_weight(inst, {1, 1}), std::invalid_argument);
+  EXPECT_EQ(w.inv_efficiency(2), 1.0 / inst.charging().efficiency(3));
 }
 
 TEST(Cost, OptimalCostForDeploymentEqualsTreeCost) {
@@ -99,8 +100,8 @@ TEST(Cost, OptimalCostForDeploymentEqualsTreeCost) {
   const Instance inst = test::random_instance(20, 45, 150.0, rng);
   const std::vector<int> deployment = balanced_deployment(20, 45);
   const double priced = optimal_cost_for_deployment(inst, deployment);
-  const auto dag =
-      graph::shortest_paths_to_base(inst.graph(), recharging_weight(inst, deployment));
+  const auto dag = graph::shortest_paths_to_base(inst.graph(), inst.adjacency(),
+                                                 RechargingWeight(inst, deployment));
   const Solution solution{spt_from_dag(dag), deployment};
   const double evaluated = total_recharging_cost(inst, solution);
   EXPECT_NEAR(priced, evaluated, evaluated * 1e-9);
@@ -116,64 +117,104 @@ TEST(Cost, OptimalCostMonotoneInDeployment) {
   EXPECT_LT(after, before);
 }
 
-TEST(Cost, DenseRechargingWeightMatchesTypeErased) {
+/// The type-erased charging-aware weight the library priced edges with
+/// before RechargingWeight, frozen as its reference: tx energy looked up
+/// through the instance, efficiencies captured by value.
+std::function<double(int, int)> erased_recharging_weight(const Instance& inst,
+                                                         const std::vector<int>& deployment) {
+  const int bs = inst.graph().base_station();
+  std::vector<double> inv_eff(deployment.size());
+  for (std::size_t i = 0; i < deployment.size(); ++i) {
+    inv_eff[i] = 1.0 / inst.charging().efficiency(deployment[i]);
+  }
+  return [&inst, inv_eff = std::move(inv_eff), bs](int from, int to) {
+    double w = inst.tx_energy(from, to) * inv_eff[static_cast<std::size_t>(from)];
+    if (to != bs) w += inst.rx_energy() * inv_eff[static_cast<std::size_t>(to)];
+    return w;
+  };
+}
+
+/// The type-erased energy weight EnergyWeight replaced, frozen likewise.
+std::function<double(int, int)> erased_energy_weight(const Instance& inst, bool include_rx) {
+  const int bs = inst.graph().base_station();
+  return [&inst, include_rx, bs](int from, int to) {
+    double w = inst.tx_energy(from, to);
+    if (include_rx && to != bs) w += inst.rx_energy();
+    return w;
+  };
+}
+
+/// Every edge of `inst` priced by both forms of `weight` (random-access and
+/// packed-tx) must equal `reference` to the last bit.
+template <class WeightT>
+void expect_matches_on_every_edge(const Instance& inst, const WeightT& weight,
+                                  const std::function<double(int, int)>& reference) {
+  const auto& adj = inst.adjacency();
+  for (int from = 0; from < inst.num_posts(); ++from) {
+    const auto out = adj.out(from);
+    const double* tx = adj.out_tx(from);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(weight(from, out[i]), reference(from, out[i])) << from << "->" << out[i];
+      EXPECT_EQ(weight(from, out[i], tx[i]), reference(from, out[i])) << from << "->" << out[i];
+    }
+  }
+}
+
+TEST(Cost, RechargingWeightMatchesTypeErased) {
   util::Rng rng(511);
   const Instance inst = test::random_instance(10, 30, 140.0, rng);
   std::vector<int> deployment = balanced_deployment(10, 30);
   deployment[2] += 3;
   deployment[7] -= 1;
-  const graph::WeightFn erased = recharging_weight(inst, deployment);
-  DenseRechargingWeight dense(inst, deployment);
-  const int n = inst.graph().num_vertices();
-  for (int from = 0; from < inst.num_posts(); ++from) {
-    for (int to = 0; to < n; ++to) {
-      if (from == to || !inst.graph().reachable(from, to)) continue;
-      EXPECT_EQ(dense(from, to), erased(from, to)) << from << "->" << to;
-    }
-  }
+  RechargingWeight weight(inst, deployment);
+  expect_matches_on_every_edge(inst, weight, erased_recharging_weight(inst, deployment));
 
   // Rebinding updates exactly the touched posts' efficiencies.
   std::vector<int> moved = deployment;
   --moved[2];
   ++moved[0];
-  dense.set_node_count(2, moved[2]);
-  dense.set_node_count(0, moved[0]);
-  const graph::WeightFn erased_moved = recharging_weight(inst, moved);
-  for (int from = 0; from < inst.num_posts(); ++from) {
-    for (int to = 0; to < n; ++to) {
-      if (from == to || !inst.graph().reachable(from, to)) continue;
-      EXPECT_EQ(dense(from, to), erased_moved(from, to));
-    }
-  }
+  weight.set_node_count(2, moved[2]);
+  weight.set_node_count(0, moved[0]);
+  expect_matches_on_every_edge(inst, weight, erased_recharging_weight(inst, moved));
 }
 
-TEST(Cost, DenseRechargingWeightValidatesDeploymentSize) {
+TEST(Cost, RechargingWeightValidatesDeploymentSize) {
   const Instance inst = test::chain_instance(3, 6);
-  EXPECT_THROW(DenseRechargingWeight(inst, {1, 1}), std::invalid_argument);
-  DenseRechargingWeight weight(inst, {2, 2, 2});
+  EXPECT_THROW(RechargingWeight(inst, {1, 1}), std::invalid_argument);
+  RechargingWeight weight(inst, {2, 2, 2});
   EXPECT_THROW(weight.assign({1, 1, 1, 1}), std::invalid_argument);
 }
 
-TEST(Cost, DenseEnergyWeightMatchesTypeErased) {
+TEST(Cost, EnergyWeightMatchesTypeErased) {
   util::Rng rng(521);
   const Instance inst = test::random_instance(8, 16, 130.0, rng);
-  const int n = inst.graph().num_vertices();
   for (bool include_rx : {false, true}) {
-    const graph::WeightFn erased = energy_weight(inst, include_rx);
-    const DenseEnergyWeight dense(inst, include_rx);
-    for (int from = 0; from < inst.num_posts(); ++from) {
-      for (int to = 0; to < n; ++to) {
-        if (from == to || !inst.graph().reachable(from, to)) continue;
-        EXPECT_EQ(dense(from, to), erased(from, to));
-      }
-    }
+    expect_matches_on_every_edge(inst, EnergyWeight(inst, include_rx),
+                                 erased_energy_weight(inst, include_rx));
   }
+}
+
+/// optimal_cost_for_deployment's sum over the binary heap's distances.
+double heap_priced_cost(const Instance& inst, const std::vector<int>& deployment) {
+  const RechargingWeight weight(inst, deployment);
+  graph::DijkstraScratch scratch;
+  if (!graph::shortest_distances_to_base(inst.graph(), inst.adjacency(),
+                                         test::heap_only(weight), scratch)) {
+    return graph::kInfinity;
+  }
+  double total = 0.0;
+  for (int p = 0; p < inst.num_posts(); ++p) {
+    const auto i = static_cast<std::size_t>(p);
+    total += inst.report_rate(p) * scratch.dist[i];
+    total += inst.charging().charger_energy_for(inst.static_energy(p), deployment[i]);
+  }
+  return total;
 }
 
 TEST(Cost, ScratchOverloadIsBitIdenticalToLegacy) {
   // The scratch-reusing pricing is the solver hot path; it must agree with
   // the allocating overload to the last bit across many deployments, and
-  // across both Dijkstra variants, even when the scratch is reused.
+  // across both Dijkstra loops, even when the scratch is reused.
   util::Rng rng(523);
   const Instance inst = test::random_instance(12, 36, 150.0, rng);
   CostEvalScratch scratch;
@@ -187,12 +228,7 @@ TEST(Cost, ScratchOverloadIsBitIdenticalToLegacy) {
     }
     const double reference = optimal_cost_for_deployment(inst, deployment);
     EXPECT_EQ(optimal_cost_for_deployment(inst, deployment, scratch), reference);
-    EXPECT_EQ(optimal_cost_for_deployment(inst, deployment, scratch,
-                                          graph::DijkstraVariant::kHeap),
-              reference);
-    EXPECT_EQ(optimal_cost_for_deployment(inst, deployment, scratch,
-                                          graph::DijkstraVariant::kDense),
-              reference);
+    EXPECT_EQ(heap_priced_cost(inst, deployment), reference);
   }
 }
 
@@ -215,7 +251,8 @@ TEST(Cost, ScratchRebindsAcrossInstances) {
 TEST(Cost, SptFromDagThrowsOnUnreachable) {
   graph::ReachGraph g(2);
   g.set_min_level(0, 2, 0);
-  const auto dag = graph::shortest_paths_to_base(g, [](int, int) { return 1.0; });
+  const auto dag = graph::shortest_paths_to_base(g, graph::ReachAdjacency(g),
+                                                 [](int, int) { return 1.0; });
   EXPECT_THROW(spt_from_dag(dag), std::invalid_argument);
 }
 

@@ -6,13 +6,27 @@
 
 #include "geom/field.hpp"
 #include "graph/bitset.hpp"
+#include "helpers.hpp"
+#include "obs/metrics.hpp"
 
 namespace wrsn::graph {
 namespace {
 
 /// Unit-weight helper.
-WeightFn unit_weight() {
+auto unit_weight() {
   return [](int, int) { return 1.0; };
+}
+
+/// Unit weight that advertises its bounds, so kAuto runs the Dial loop.
+struct BoundedUnitWeight {
+  double operator()(int, int) const { return 1.0; }
+  WeightBounds bounds() const { return {1.0, 1.0}; }
+};
+
+/// The DAG over a fresh adjacency of `g` (radio-less test graphs).
+template <class WeightT>
+ShortestPathDag dag_of(const ReachGraph& g, const WeightT& weight) {
+  return shortest_paths_to_base(g, ReachAdjacency(g), weight);
 }
 
 TEST(Bitset, BasicOperations) {
@@ -66,7 +80,7 @@ TEST(Dijkstra, ChainDistances) {
   g.set_min_level(0, 1, 0);
   g.set_min_level(1, 2, 0);
   g.set_min_level(2, 3, 0);
-  const auto dag = shortest_paths_to_base(g, unit_weight());
+  const auto dag = dag_of(g, unit_weight());
   EXPECT_TRUE(dag.all_posts_reachable);
   EXPECT_DOUBLE_EQ(dag.dist[3], 0.0);
   EXPECT_DOUBLE_EQ(dag.dist[2], 1.0);
@@ -84,13 +98,13 @@ TEST(Dijkstra, PrefersCheaperLongerPath) {
   g.set_min_level(0, 2, 1);
   g.set_min_level(0, 1, 0);
   g.set_min_level(1, 2, 0);
-  const WeightFn weight = [](int from, int to) {
+  const auto weight = [](int from, int to) {
     if (from == 0 && to == 2) return 10.0;
     (void)from;
     (void)to;
     return 3.0;
   };
-  const auto dag = shortest_paths_to_base(g, weight);
+  const auto dag = dag_of(g, weight);
   EXPECT_DOUBLE_EQ(dag.dist[0], 6.0);
   EXPECT_EQ(dag.parents[0], (std::vector<int>{1}));
 }
@@ -102,7 +116,7 @@ TEST(Dijkstra, KeepsAllTightParents) {
   g.set_min_level(0, 2, 0);
   g.set_min_level(1, 3, 0);
   g.set_min_level(2, 3, 0);
-  const auto dag = shortest_paths_to_base(g, unit_weight());
+  const auto dag = dag_of(g, unit_weight());
   EXPECT_DOUBLE_EQ(dag.dist[0], 2.0);
   std::vector<int> parents = dag.parents[0];
   std::sort(parents.begin(), parents.end());
@@ -113,7 +127,7 @@ TEST(Dijkstra, UnreachablePostFlagged) {
   ReachGraph g(2);
   g.set_min_level(0, 2, 0);
   // post 1 disconnected
-  const auto dag = shortest_paths_to_base(g, unit_weight());
+  const auto dag = dag_of(g, unit_weight());
   EXPECT_FALSE(dag.all_posts_reachable);
   EXPECT_TRUE(std::isinf(dag.dist[1]));
   EXPECT_TRUE(dag.parents[1].empty());
@@ -124,8 +138,8 @@ TEST(Dijkstra, UnreachablePostFlagged) {
 TEST(Dijkstra, RejectsNonPositiveWeights) {
   ReachGraph g(1);
   g.set_min_level(0, 1, 0);
-  EXPECT_THROW(shortest_paths_to_base(g, [](int, int) { return 0.0; }), std::invalid_argument);
-  EXPECT_THROW(shortest_paths_to_base(g, [](int, int) { return -1.0; }), std::invalid_argument);
+  EXPECT_THROW(dag_of(g, [](int, int) { return 0.0; }), std::invalid_argument);
+  EXPECT_THROW(dag_of(g, [](int, int) { return -1.0; }), std::invalid_argument);
 }
 
 TEST(Dijkstra, AsymmetricWeightsRespectDirection) {
@@ -133,12 +147,12 @@ TEST(Dijkstra, AsymmetricWeightsRespectDirection) {
   ReachGraph g(2);
   g.set_min_level_symmetric(0, 1, 0);
   g.set_min_level(1, 2, 0);
-  const WeightFn weight = [](int from, int to) {
+  const auto weight = [](int from, int to) {
     if (from == 0 && to == 1) return 1.0;
     if (from == 1 && to == 0) return 100.0;
     return 1.0;
   };
-  const auto dag = shortest_paths_to_base(g, weight);
+  const auto dag = dag_of(g, weight);
   EXPECT_DOUBLE_EQ(dag.dist[0], 2.0);
 }
 
@@ -153,8 +167,8 @@ TEST(Dijkstra, GeometricSmokeAllReachable) {
   const auto radio = energy::RadioModel::uniform_levels(3, 25.0);
   const ReachGraph g = ReachGraph::from_field(field, radio);
   if (!g.connected_to_base()) GTEST_SKIP() << "random field disconnected";
-  const auto dag = shortest_paths_to_base(
-      g, [&](int from, int to) { return radio.tx_energy(g.min_level(from, to)); });
+  const auto dag =
+      dag_of(g, [&](int from, int to) { return radio.tx_energy(g.min_level(from, to)); });
   EXPECT_TRUE(dag.all_posts_reachable);
   // dist must be monotone along parent edges.
   for (int v = 0; v < g.num_posts(); ++v) {
@@ -190,11 +204,11 @@ TEST(Dijkstra, MatchesBellmanFordOracleOnRandomGraphs) {
         weights[static_cast<std::size_t>(v * (n + 1) + next)] = rng.uniform(0.1, 10.0);
       }
     }
-    const WeightFn weight = [&](int from, int to) {
+    const auto weight = [&](int from, int to) {
       return weights[static_cast<std::size_t>(from * (n + 1) + to)];
     };
 
-    const auto dag = shortest_paths_to_base(g, weight);
+    const auto dag = dag_of(g, weight);
     ASSERT_TRUE(dag.all_posts_reachable);
 
     // Bellman-Ford toward the base over reversed edges.
@@ -233,7 +247,6 @@ TEST(ReachAdjacency, ListsMatchReachabilityAndStayAscending) {
     }
     const ReachAdjacency adj(g);
     ASSERT_EQ(adj.num_vertices(), n + 1);
-    int edges = 0;
     for (int u = 0; u <= n; ++u) {
       for (int v = 0; v <= n; ++v) {
         if (u == v) continue;
@@ -242,18 +255,26 @@ TEST(ReachAdjacency, ListsMatchReachabilityAndStayAscending) {
         const bool listed_in =
             std::find(adj.in(v).begin(), adj.in(v).end(), u) != adj.in(v).end();
         EXPECT_EQ(listed_in, g.reachable(u, v));
-        if (g.reachable(u, v)) ++edges;
       }
     }
     for (int v = 0; v <= n; ++v) {
       EXPECT_TRUE(std::is_sorted(adj.out(v).begin(), adj.out(v).end()));
       EXPECT_TRUE(std::is_sorted(adj.in(v).begin(), adj.in(v).end()));
     }
-    EXPECT_DOUBLE_EQ(adj.avg_degree(), static_cast<double>(edges) / (n + 1));
   }
 }
 
-TEST(Dijkstra, HeapAndDenseVariantsAreBitIdentical) {
+/// Table-driven random weight with bounds(), so kAuto runs the Dial loop.
+struct RandomTableWeight {
+  const std::vector<double>* weights;
+  int stride;
+  double operator()(int from, int to) const {
+    return (*weights)[static_cast<std::size_t>(from * stride + to)];
+  }
+  WeightBounds bounds() const { return {0.1, 10.0}; }
+};
+
+TEST(Dijkstra, HeapAndDialLoopsAreBitIdentical) {
   // Both inner loops perform the same relaxation arithmetic over the same
   // edge set, so distances and parent lists must match to the last bit.
   util::Rng rng(313);
@@ -276,25 +297,22 @@ TEST(Dijkstra, HeapAndDenseVariantsAreBitIdentical) {
         weights[static_cast<std::size_t>(v * (n + 1) + v + 1)] = rng.uniform(0.1, 10.0);
       }
     }
-    const auto weight = [&](int from, int to) {
-      return weights[static_cast<std::size_t>(from * (n + 1) + to)];
-    };
+    const RandomTableWeight weight{&weights, n + 1};
     const ReachAdjacency adj(g);
-    const auto heap = shortest_paths_to_base(g, adj, weight, 1e-9, DijkstraVariant::kHeap);
-    const auto dense = shortest_paths_to_base(g, adj, weight, 1e-9, DijkstraVariant::kDense);
-    ASSERT_EQ(heap.dist.size(), dense.dist.size());
+    obs::Counter& dial_runs = obs::Registry::global().counter("dijkstra/dial_runs");
+    const std::uint64_t dial_before = dial_runs.value();
+    const auto dial = shortest_paths_to_base(g, adj, weight);
+    EXPECT_EQ(dial_runs.value(), dial_before + 1);
+    obs::Counter& heap_runs = obs::Registry::global().counter("dijkstra/heap_runs");
+    const std::uint64_t heap_before = heap_runs.value();
+    const auto heap = shortest_paths_to_base(g, adj, test::heap_only(weight));
+    EXPECT_EQ(heap_runs.value(), heap_before + 1);
+    ASSERT_EQ(heap.dist.size(), dial.dist.size());
     for (std::size_t v = 0; v < heap.dist.size(); ++v) {
-      EXPECT_EQ(heap.dist[v], dense.dist[v]) << "vertex " << v << " trial " << trial;
-      EXPECT_EQ(heap.parents[v], dense.parents[v]) << "vertex " << v << " trial " << trial;
+      EXPECT_EQ(heap.dist[v], dial.dist[v]) << "vertex " << v << " trial " << trial;
+      EXPECT_EQ(heap.parents[v], dial.parents[v]) << "vertex " << v << " trial " << trial;
     }
-    EXPECT_EQ(heap.all_posts_reachable, dense.all_posts_reachable);
-
-    // The WeightFn adapter must agree with both.
-    const auto erased = shortest_paths_to_base(g, WeightFn(weight));
-    for (std::size_t v = 0; v < heap.dist.size(); ++v) {
-      EXPECT_EQ(erased.dist[v], heap.dist[v]);
-      EXPECT_EQ(erased.parents[v], heap.parents[v]);
-    }
+    EXPECT_EQ(heap.all_posts_reachable, dial.all_posts_reachable);
   }
 }
 
@@ -309,12 +327,10 @@ TEST(Dijkstra, DistanceOnlyMatchesDagDistances) {
   const auto dag = shortest_paths_to_base(g, adj, weight);
 
   DijkstraScratch scratch;
-  for (auto variant : {DijkstraVariant::kAuto, DijkstraVariant::kHeap, DijkstraVariant::kDense}) {
-    EXPECT_TRUE(shortest_distances_to_base(g, adj, weight, scratch, variant));
-    ASSERT_EQ(scratch.dist.size(), dag.dist.size());
-    for (std::size_t v = 0; v < dag.dist.size(); ++v) {
-      EXPECT_EQ(scratch.dist[v], dag.dist[v]) << "vertex " << v;
-    }
+  EXPECT_TRUE(shortest_distances_to_base(g, adj, weight, scratch));
+  ASSERT_EQ(scratch.dist.size(), dag.dist.size());
+  for (std::size_t v = 0; v < dag.dist.size(); ++v) {
+    EXPECT_EQ(scratch.dist[v], dag.dist[v]) << "vertex " << v;
   }
 }
 
@@ -323,9 +339,10 @@ TEST(Dijkstra, DistanceOnlyReportsUnreachable) {
   g.set_min_level(0, 2, 0);  // post 1 disconnected
   const ReachAdjacency adj(g);
   DijkstraScratch scratch;
-  const auto unit = [](int, int) { return 1.0; };
-  EXPECT_FALSE(shortest_distances_to_base(g, adj, unit, scratch, DijkstraVariant::kHeap));
-  EXPECT_FALSE(shortest_distances_to_base(g, adj, unit, scratch, DijkstraVariant::kDense));
+  const BoundedUnitWeight unit;
+  EXPECT_FALSE(shortest_distances_to_base(g, adj, test::heap_only(unit), scratch));
+  EXPECT_TRUE(std::isinf(scratch.dist[1]));
+  EXPECT_FALSE(shortest_distances_to_base(g, adj, unit, scratch));  // Dial
   EXPECT_TRUE(std::isinf(scratch.dist[1]));
 }
 
@@ -342,12 +359,6 @@ TEST(Dijkstra, ScratchReuseAcrossDifferentGraphSizes) {
   }
 }
 
-TEST(Dijkstra, PreferDenseCrossover) {
-  EXPECT_TRUE(detail::prefer_dense(16.0, 100));   // dense graph, small V
-  EXPECT_FALSE(detail::prefer_dense(4.0, 100));   // sparse
-  EXPECT_TRUE(detail::prefer_dense(3.0, 10));     // tiny graphs: always dense
-}
-
 // ------------------------------------------------------------ DAG closure
 
 TEST(DagReach, ChainWorkloads) {
@@ -355,7 +366,7 @@ TEST(DagReach, ChainWorkloads) {
   g.set_min_level(0, 1, 0);
   g.set_min_level(1, 2, 0);
   g.set_min_level(2, 3, 0);
-  auto dag = shortest_paths_to_base(g, unit_weight());
+  auto dag = dag_of(g, unit_weight());
   const DagReach reach = compute_dag_reach(dag);
   // post 2 carries posts 0 and 1; post 1 carries post 0; post 0 carries none.
   EXPECT_EQ(reach.workload[2], 2);
@@ -376,7 +387,7 @@ TEST(DagReach, DiamondCountsDistinctDescendants) {
   g.set_min_level(0, 2, 0);
   g.set_min_level(1, 3, 0);
   g.set_min_level(2, 3, 0);
-  auto dag = shortest_paths_to_base(g, unit_weight());
+  auto dag = dag_of(g, unit_weight());
   const DagReach reach = compute_dag_reach(dag);
   EXPECT_EQ(reach.workload[1], 1);
   EXPECT_EQ(reach.workload[2], 1);
@@ -391,7 +402,7 @@ TEST(DagReach, RecomputeAfterEdgeDeletion) {
   g.set_min_level(0, 2, 0);
   g.set_min_level(1, 3, 0);
   g.set_min_level(2, 3, 0);
-  auto dag = shortest_paths_to_base(g, unit_weight());
+  auto dag = dag_of(g, unit_weight());
   // Delete 0 -> 2: all of 0's traffic must now pass through 1.
   auto& parents = dag.parents[0];
   parents.erase(std::remove(parents.begin(), parents.end(), 2), parents.end());

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 
 namespace wrsn::energy {
 namespace {
@@ -139,6 +140,27 @@ TEST(ChargingModel, MoreNodesNeverCostMore) {
       EXPECT_GE(model.charger_energy_for(1.0, m), model.charger_energy_for(1.0, m + 1));
     }
   }
+}
+
+TEST(ChargingModel, FromNameMatchesFactories) {
+  const auto same = [](const std::optional<ChargingModel>& got, const ChargingModel& want) {
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->kind(), want.kind());
+    EXPECT_EQ(got->eta(), want.eta());
+    EXPECT_EQ(got->param(), want.param());
+  };
+  same(charging_model_from_name("linear", 0.02, 0.5), ChargingModel::linear(0.02));
+  same(charging_model_from_name("sublinear", 0.02, 0.5), ChargingModel::sub_linear(0.02, 0.5));
+  same(charging_model_from_name("saturating", 0.02, 3.0), ChargingModel::saturating(0.02, 3.0));
+  EXPECT_FALSE(charging_model_from_name("quadratic", 0.02, 1.0).has_value());
+  EXPECT_FALSE(charging_model_from_name("Linear", 0.02, 1.0).has_value());
+  EXPECT_THROW(charging_model_from_name("sublinear", 0.02, 2.0), std::invalid_argument);
+
+  // The name alone, with no parameter to validate.
+  EXPECT_EQ(charging_kind_from_name("linear"), ChargingKind::Linear);
+  EXPECT_EQ(charging_kind_from_name("sublinear"), ChargingKind::SubLinear);
+  EXPECT_EQ(charging_kind_from_name("saturating"), ChargingKind::Saturating);
+  EXPECT_FALSE(charging_kind_from_name("quadratic").has_value());
 }
 
 }  // namespace

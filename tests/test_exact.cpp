@@ -172,5 +172,35 @@ TEST(SolveExact, TwoPostChainHandCheck) {
   EXPECT_NEAR(result.cost, best, best * 1e-12);
 }
 
+TEST(SolveExact, GoldenFinalTrees) {
+  // Exact outputs recorded while the final routing still came from the
+  // type-erased weight adapter: the tree (FNV-1a over the parent vector),
+  // the deployment and the cost must match to the last bit.
+  struct Golden {
+    int posts;
+    int nodes;
+    std::uint64_t seed;
+    std::uint64_t tree_hash;
+    std::vector<int> deployment;
+    double cost;
+  };
+  const std::vector<Golden> goldens = {
+      {6, 15, 9401, 14617065406404462159ULL, {3, 4, 3, 2, 1, 2}, 4.0311197916666672e-05},
+      {8, 18, 9402, 10151806068204692474ULL, {2, 2, 2, 3, 1, 1, 6, 1},
+       5.2898437499999994e-05},
+      {10, 20, 9403, 16990682149594052750ULL, {1, 1, 5, 2, 2, 1, 1, 4, 2, 1},
+       7.4058203125000003e-05},
+  };
+  for (const Golden& golden : goldens) {
+    util::Rng rng(golden.seed);
+    const Instance inst = test::random_instance(golden.posts, golden.nodes, 130.0, rng);
+    const ExactResult result = solve_exact(inst);
+    ASSERT_TRUE(result.complete) << golden.posts;
+    EXPECT_EQ(test::parent_hash(result.solution.tree), golden.tree_hash) << golden.posts;
+    EXPECT_EQ(result.solution.deployment, golden.deployment) << golden.posts;
+    EXPECT_EQ(result.cost, golden.cost) << golden.posts;
+  }
+}
+
 }  // namespace
 }  // namespace wrsn::core

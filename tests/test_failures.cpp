@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 
 #include "core/baseline.hpp"
@@ -247,6 +248,40 @@ TEST(AssessFailure, FixedCostMatchesFreshDijkstraOracle) {
     ++assessed;
   }
   EXPECT_GT(assessed, 1);
+}
+
+TEST(AssessFailure, GoldenReoptimizedRouting) {
+  // Exact outputs recorded while the kept-in-place routing still came from
+  // the type-erased weight adapter: the re-optimized tree (FNV-1a over the
+  // parent vector on original indices) and both costs must match to the
+  // last bit.
+  struct Golden {
+    int posts;
+    std::uint64_t seed;
+    std::vector<int> failed;
+    std::uint64_t tree_hash;
+    double cost_fixed;
+    double cost_redeployed;
+  };
+  const std::vector<Golden> goldens = {
+      {20, 9301, {3}, 1585491199351270432ULL, 9.3669642857142858e-05, 8.6995427911931844e-05},
+      {60, 9302, {5, 17}, 7842103480500523624ULL, 0.00039549654130591628,
+       0.00035741786489335313},
+      {150, 9303, {0, 40, 99}, 674801251408847496ULL, 0.0011228510925236511,
+       0.00096872928712816195},
+  };
+  for (const Golden& golden : goldens) {
+    util::Rng rng(golden.seed);
+    const double side = std::round(500.0 * std::sqrt(golden.posts / 300.0));
+    const Instance inst = test::random_instance(golden.posts, 3 * golden.posts, side, rng);
+    const auto plan = solve_rfh(inst);
+    const FailureImpact impact = assess_failure(inst, plan.solution, golden.failed);
+    ASSERT_TRUE(impact.connected) << golden.posts;
+    ASSERT_TRUE(impact.routing_fixed.has_value()) << golden.posts;
+    EXPECT_EQ(test::parent_hash(impact.routing_fixed->tree), golden.tree_hash) << golden.posts;
+    EXPECT_EQ(impact.cost_fixed_deployment, golden.cost_fixed) << golden.posts;
+    EXPECT_EQ(impact.cost_redeployed, golden.cost_redeployed) << golden.posts;
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 namespace wrsn::geom {
 namespace {
@@ -150,6 +151,37 @@ TEST(GenerateField, NearestNeighborConstraintHolds) {
     }
     EXPECT_LE(best, 40.0);
   }
+}
+
+TEST(GenerateConnectedField, DrawsTheSameFieldsAsALoop) {
+  FieldConfig cfg;
+  cfg.width = 300.0;
+  cfg.height = 300.0;
+  cfg.num_posts = 40;
+  util::Rng loop_rng(77);
+  Field expected = generate_field(cfg, loop_rng);
+  int draws = 1;
+  while (!is_connected(expected, 75.0)) {
+    expected = generate_field(cfg, loop_rng);
+    ++draws;
+  }
+  util::Rng rng(77);
+  const std::optional<Field> field = generate_connected_field(cfg, 75.0, rng, draws);
+  ASSERT_TRUE(field.has_value());
+  ASSERT_EQ(field->posts.size(), expected.posts.size());
+  for (std::size_t i = 0; i < expected.posts.size(); ++i) {
+    EXPECT_EQ(field->posts[i].x, expected.posts[i].x);
+    EXPECT_EQ(field->posts[i].y, expected.posts[i].y);
+  }
+  // Both streams stopped at the same draw.
+  EXPECT_EQ(rng(), loop_rng());
+}
+
+TEST(GenerateConnectedField, GivesUpAfterMaxAttempts) {
+  FieldConfig cfg;
+  cfg.num_posts = 20;
+  util::Rng rng(3);
+  EXPECT_FALSE(generate_connected_field(cfg, 1.0, rng, 5).has_value());
 }
 
 }  // namespace

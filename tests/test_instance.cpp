@@ -114,12 +114,14 @@ TEST(Instance, AdjacencyPrebuiltAndConsistent) {
   const Instance inst = test::random_instance(10, 20, 140.0, rng);
   const graph::ReachAdjacency& adj = inst.adjacency();
   EXPECT_EQ(adj.num_vertices(), inst.graph().num_vertices());
+  std::size_t edges = 0;
   for (int v = 0; v < adj.num_vertices(); ++v) {
     for (int u : adj.out(v)) {
       EXPECT_TRUE(inst.graph().reachable(v, u));
     }
+    edges += adj.out(v).size();
   }
-  EXPECT_GT(adj.avg_degree(), 0.0);
+  EXPECT_GT(edges, 0u);
 }
 
 }  // namespace

@@ -61,8 +61,8 @@ TEST(Pricer, DistancesMatchPerVertex) {
   DeploymentPricer pricer(inst, deployment);
   pricer.add_node(3);
   ++deployment[3];
-  const auto dag =
-      graph::shortest_paths_to_base(inst.graph(), recharging_weight(inst, deployment));
+  const auto dag = graph::shortest_paths_to_base(inst.graph(), inst.adjacency(),
+                                                 RechargingWeight(inst, deployment));
   for (int v = 0; v < inst.num_posts(); ++v) {
     EXPECT_NEAR(pricer.distance(v), dag.dist[static_cast<std::size_t>(v)],
                 dag.dist[static_cast<std::size_t>(v)] * 1e-9);
@@ -196,8 +196,8 @@ void check_committed_walk(const Instance& inst, DeploymentPricer::Options option
     }
     const double naive = optimal_cost_for_deployment(inst, deployment);
     ASSERT_NEAR(pricer.base_cost(), naive, naive * 1e-9) << "step " << step;
-    const auto dag =
-        graph::shortest_paths_to_base(inst.graph(), recharging_weight(inst, deployment));
+    const RechargingWeight weight(inst, deployment);
+    const auto dag = graph::shortest_paths_to_base(inst.graph(), inst.adjacency(), weight);
     for (int v = 0; v < n; ++v) {
       ASSERT_NEAR(pricer.distance(v), dag.dist[static_cast<std::size_t>(v)],
                   dag.dist[static_cast<std::size_t>(v)] * 1e-9)
@@ -206,7 +206,7 @@ void check_committed_walk(const Instance& inst, DeploymentPricer::Options option
       const int p = pricer.parent(v);
       ASSERT_GE(p, 0);
       ASSERT_NEAR(pricer.distance(v),
-                  recharging_weight(inst, deployment)(v, p) + pricer.distance(p),
+                  weight(v, p) + pricer.distance(p),
                   pricer.distance(v) * 1e-9)
           << "step " << step << " vertex " << v;
     }
@@ -223,11 +223,7 @@ TEST(Pricer, CommittedMutationsTrackFreshDijkstraAcrossChargingModels) {
   unsigned seed = 1303;
   for (const auto& charging : models) {
     const Instance inst = test::random_instance(14, 60, 150.0, rng, charging);
-    for (const auto variant : {graph::DijkstraVariant::kHeap, graph::DijkstraVariant::kDense}) {
-      DeploymentPricer::Options options;
-      options.variant = variant;
-      check_committed_walk(inst, options, seed++);
-    }
+    for (int walk = 0; walk < 2; ++walk) check_committed_walk(inst, {}, seed++);
   }
 }
 
@@ -333,8 +329,9 @@ TEST(Pricer, DisablePostMatchesSubInstanceOracle) {
       for (std::size_t si = 0; si < sub.to_original.size(); ++si) {
         sub_deployment[si] = deployment[static_cast<std::size_t>(sub.to_original[si])];
       }
-      const auto dag = graph::shortest_paths_to_base(
-          sub.instance.graph(), recharging_weight(sub.instance, sub_deployment));
+      const auto dag =
+          graph::shortest_paths_to_base(sub.instance.graph(), sub.instance.adjacency(),
+                                        RechargingWeight(sub.instance, sub_deployment));
       for (int p = 0; p < 16; ++p) {
         const int si = sub.from_original[static_cast<std::size_t>(p)];
         if (si < 0) {

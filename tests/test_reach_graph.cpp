@@ -53,9 +53,15 @@ TEST(ReachGraph, NeighborEnumeration) {
   g.set_min_level(0, 1, 0);
   g.set_min_level(0, 3, 1);
   g.set_min_level(2, 0, 0);
-  EXPECT_EQ(g.out_neighbors(0), (std::vector<int>{1, 3}));
-  EXPECT_EQ(g.in_neighbors(0), (std::vector<int>{2}));
-  EXPECT_TRUE(g.out_neighbors(1).empty());
+  std::vector<std::pair<int, int>> out;
+  g.for_each_out_edge(0, [&](int to, int level) { out.emplace_back(to, level); });
+  EXPECT_EQ(out, (std::vector<std::pair<int, int>>{{1, 0}, {3, 1}}));
+  std::vector<std::pair<int, int>> in;
+  g.for_each_in_edge(0, [&](int from, int level) { in.emplace_back(from, level); });
+  EXPECT_EQ(in, (std::vector<std::pair<int, int>>{{2, 0}}));
+  int edges_out_of_1 = 0;
+  g.for_each_out_edge(1, [&](int, int) { ++edges_out_of_1; });
+  EXPECT_EQ(edges_out_of_1, 0);
 }
 
 TEST(ReachGraph, ConnectedToBaseDirectChain) {

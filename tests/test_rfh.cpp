@@ -94,8 +94,8 @@ TEST(TrimFatTree, PreservesShortestPathCosts) {
   util::Rng rng(41);
   for (int trial = 0; trial < 10; ++trial) {
     const Instance inst = test::random_instance(25, 50, 180.0, rng);
-    const auto weight = energy_weight(inst, false);
-    auto dag = graph::shortest_paths_to_base(inst.graph(), weight);
+    const EnergyWeight weight(inst, false);
+    auto dag = graph::shortest_paths_to_base(inst.graph(), inst.adjacency(), weight);
     const auto dist = dag.dist;  // copy: trim mutates the DAG
     const graph::RoutingTree tree = rfh_detail::trim_fat_tree(dag);
     ASSERT_TRUE(tree.is_valid());
@@ -275,7 +275,7 @@ TEST(MergeSiblings, RehomesExpensiveChildOntoCheapSibling) {
   graph::RoutingTree tree(2, 2);
   tree.set_parent(0, 2);
   tree.set_parent(1, 2);
-  rfh_detail::merge_siblings(inst, energy_weight(inst, false), tree);
+  rfh_detail::merge_siblings(inst, EnergyWeight(inst, false), tree);
   EXPECT_TRUE(tree.is_valid());
   EXPECT_EQ(tree.parent(1), 0);
   EXPECT_EQ(tree.parent(0), 2);
@@ -291,7 +291,7 @@ TEST(MergeSiblings, LeavesCheapChildrenAlone) {
   graph::RoutingTree tree(2, 2);
   tree.set_parent(0, 2);
   tree.set_parent(1, 2);
-  rfh_detail::merge_siblings(inst, energy_weight(inst, false), tree);
+  rfh_detail::merge_siblings(inst, EnergyWeight(inst, false), tree);
   EXPECT_EQ(tree.parent(0), 2);
   EXPECT_EQ(tree.parent(1), 2);
 }
@@ -300,9 +300,10 @@ TEST(MergeSiblings, NeverCreatesCycles) {
   util::Rng rng(43);
   for (int trial = 0; trial < 10; ++trial) {
     const Instance inst = test::random_instance(30, 60, 200.0, rng);
-    auto dag = graph::shortest_paths_to_base(inst.graph(), energy_weight(inst, false));
+    const EnergyWeight weight(inst, false);
+    auto dag = graph::shortest_paths_to_base(inst.graph(), inst.adjacency(), weight);
     graph::RoutingTree tree = spt_from_dag(dag);
-    rfh_detail::merge_siblings(inst, energy_weight(inst, false), tree);
+    rfh_detail::merge_siblings(inst, weight, tree);
     EXPECT_TRUE(tree.is_valid());
     for (int p = 0; p < inst.num_posts(); ++p) {
       EXPECT_TRUE(inst.graph().reachable(p, tree.parent(p)));
@@ -310,10 +311,49 @@ TEST(MergeSiblings, NeverCreatesCycles) {
   }
 }
 
+/// Phase III's head scan as it shipped for dense storage: heads probed in
+/// insertion order, each for reachability, a strict `<` keeping the
+/// earliest-inserted head on exact-cost ties.  Frozen as the reference for
+/// the adjacency walk in rfh_detail::merge_siblings.
+template <class WeightT>
+void probe_merge_siblings(const Instance& instance, const WeightT& weight,
+                          graph::RoutingTree& tree) {
+  const auto& g = instance.graph();
+  const int n = instance.num_posts();
+  const std::vector<std::vector<int>> children = tree.children();
+  const std::vector<int> workload = tree.descendant_counts();
+  for (int parent_idx = 0; parent_idx <= n; ++parent_idx) {
+    const int parent_vertex = parent_idx == n ? tree.base_station() : parent_idx;
+    std::vector<int> kids = children[static_cast<std::size_t>(parent_idx)];
+    if (kids.size() < 2) continue;
+    std::sort(kids.begin(), kids.end(), [&](int a, int b) {
+      return workload[static_cast<std::size_t>(a)] > workload[static_cast<std::size_t>(b)];
+    });
+    std::vector<int> heads;
+    for (int kid : kids) {
+      int best_head = -1;
+      double best_cost = weight(kid, parent_vertex);
+      for (int head : heads) {
+        if (!g.reachable(kid, head)) continue;
+        const double c = weight(kid, head);
+        if (c < best_cost) {
+          best_cost = c;
+          best_head = head;
+        }
+      }
+      if (best_head >= 0) {
+        tree.set_parent(kid, best_head);
+      } else {
+        heads.push_back(kid);
+      }
+    }
+  }
+}
+
 TEST(MergeSiblings, SparseMatchesDenseOracle) {
-  // The CSR neighbor-walk head scan must reproduce the dense probe scan
-  // bit-for-bit: same instance geometry under both storage layouts, same
-  // starting tree, identical parents after merging.
+  // The adjacency-walk head scan must reproduce the dense probe scan
+  // bit-for-bit under both storage layouts and both Phase I weights: same
+  // geometry, same starting tree, identical parents after merging.
   util::Rng rng(47);
   const auto radio = test::paper_radio();
   geom::FieldConfig cfg;
@@ -335,17 +375,37 @@ TEST(MergeSiblings, SparseMatchesDenseOracle) {
     ASSERT_FALSE(dense.graph().is_sparse());
     ASSERT_TRUE(sparse.graph().is_sparse());
 
-    auto dag = graph::shortest_paths_to_base(dense.graph(), energy_weight(dense, false));
+    const EnergyWeight energy(dense, false);
+    auto dag = graph::shortest_paths_to_base(dense.graph(), dense.adjacency(), energy);
     const graph::RoutingTree start = spt_from_dag(dag);
+    const std::vector<int> deployment =
+        lagrange_allocate(per_post_energy(dense, start), dense.num_nodes());
+
+    graph::RoutingTree oracle = start;
+    probe_merge_siblings(dense, energy, oracle);
     graph::RoutingTree dense_tree = start;
     graph::RoutingTree sparse_tree = start;
-    rfh_detail::merge_siblings(dense, energy_weight(dense, false), dense_tree);
-    rfh_detail::merge_siblings(sparse, energy_weight(sparse, false), sparse_tree);
+    rfh_detail::merge_siblings(dense, energy, dense_tree);
+    rfh_detail::merge_siblings(sparse, EnergyWeight(sparse, false), sparse_tree);
+
+    const RechargingWeight recharging(dense, deployment);
+    graph::RoutingTree charging_oracle = start;
+    probe_merge_siblings(dense, recharging, charging_oracle);
+    graph::RoutingTree charging_dense = start;
+    graph::RoutingTree charging_sparse = start;
+    rfh_detail::merge_siblings(dense, recharging, charging_dense);
+    rfh_detail::merge_siblings(sparse, RechargingWeight(sparse, deployment), charging_sparse);
+
     bool any_merge = false;
     for (int p = 0; p < dense.num_posts(); ++p) {
-      ASSERT_EQ(dense_tree.parent(p), sparse_tree.parent(p))
+      ASSERT_EQ(dense_tree.parent(p), oracle.parent(p)) << "trial " << trial << " post " << p;
+      ASSERT_EQ(sparse_tree.parent(p), oracle.parent(p)) << "trial " << trial << " post " << p;
+      ASSERT_EQ(charging_dense.parent(p), charging_oracle.parent(p))
           << "trial " << trial << " post " << p;
-      any_merge = any_merge || dense_tree.parent(p) != start.parent(p);
+      ASSERT_EQ(charging_sparse.parent(p), charging_oracle.parent(p))
+          << "trial " << trial << " post " << p;
+      any_merge = any_merge || oracle.parent(p) != start.parent(p) ||
+                  charging_oracle.parent(p) != start.parent(p);
     }
     if (any_merge) ++merged_trials;
   }
@@ -564,6 +624,48 @@ TEST(SolveRfh, GoldenRegressionAgainstPreCacheSolver) {
       EXPECT_EQ(result.solution.tree.parent(p), golden.parents[static_cast<std::size_t>(p)])
           << "seed " << golden.seed << " post " << p;
     }
+  }
+}
+
+TEST(SolveRfh, GoldenMergedTreesOnDenseFields) {
+  // Exact outputs recorded while Phase III still priced hops through the
+  // type-erased weight adapter and probed heads on dense storage: cost,
+  // best iteration, deployment and tree (FNV-1a) must match to the last
+  // bit.  Fields at the paper's N = 300 density, all below the sparse
+  // threshold, under linear and sub-linear charging.
+  struct Golden {
+    int posts;
+    std::uint64_t seed;
+    bool sub_linear;
+    double cost;
+    int best_iteration;
+    std::uint64_t deployment_hash;
+    std::uint64_t tree_hash;
+  };
+  const std::vector<Golden> goldens = {
+      {100, 9501, false, 0.00072486876880573298, 3, 18228125953257082515ULL,
+       4288588891902398367ULL},
+      {300, 9502, false, 0.0028261324989836368, 5, 9797233461072855135ULL,
+       1849884549180113381ULL},
+      {300, 9503, true, 0.0051166931965321658, 6, 15653656333947743181ULL,
+       5492015220446707511ULL},
+      {600, 9504, false, 0.0065059319325733835, 4, 793200223253564091ULL,
+       7831879243118780386ULL},
+  };
+  for (const Golden& golden : goldens) {
+    util::Rng rng(golden.seed);
+    const double side = std::round(500.0 * std::sqrt(golden.posts / 300.0));
+    const energy::ChargingModel charging = golden.sub_linear
+                                               ? energy::ChargingModel::sub_linear(0.01, 0.7)
+                                               : test::paper_charging();
+    const Instance inst =
+        test::random_instance(golden.posts, 3 * golden.posts, side, rng, charging);
+    ASSERT_FALSE(inst.graph().is_sparse());
+    const RfhResult result = solve_rfh(inst);
+    EXPECT_EQ(result.cost, golden.cost) << golden.posts;
+    EXPECT_EQ(result.best_iteration, golden.best_iteration) << golden.posts;
+    EXPECT_EQ(test::fnv1a(result.solution.deployment), golden.deployment_hash) << golden.posts;
+    EXPECT_EQ(test::parent_hash(result.solution.tree), golden.tree_hash) << golden.posts;
   }
 }
 

@@ -20,13 +20,13 @@
 #include "geom/field.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/reach_graph.hpp"
+#include "helpers.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace wrsn {
 namespace {
 
-using graph::DijkstraVariant;
 using graph::ReachAdjacency;
 using graph::ReachGraph;
 
@@ -39,6 +39,20 @@ geom::Field random_field(util::Rng& rng, int num_posts, double extent) {
     field.posts.push_back({rng.uniform(0.0, extent), rng.uniform(0.0, extent)});
   }
   return field;
+}
+
+/// (neighbor, level) pairs of u's out-edges, in walk order.
+std::vector<std::pair<int, int>> out_edges(const ReachGraph& g, int u) {
+  std::vector<std::pair<int, int>> edges;
+  g.for_each_out_edge(u, [&](int to, int level) { edges.emplace_back(to, level); });
+  return edges;
+}
+
+/// (neighbor, level) pairs of u's in-edges, in walk order.
+std::vector<std::pair<int, int>> in_edges(const ReachGraph& g, int u) {
+  std::vector<std::pair<int, int>> edges;
+  g.for_each_in_edge(u, [&](int from, int level) { edges.emplace_back(from, level); });
+  return edges;
 }
 
 TEST(SparseReachGraph, MatchesDenseOracleOnRandomFields) {
@@ -65,8 +79,8 @@ TEST(SparseReachGraph, MatchesDenseOracleOnRandomFields) {
           ASSERT_EQ(dense.distance(u, v), sparse.distance(u, v));
         }
       }
-      ASSERT_EQ(dense.out_neighbors(u).to_vector(), sparse.out_neighbors(u).to_vector());
-      ASSERT_EQ(dense.in_neighbors(u).to_vector(), sparse.in_neighbors(u).to_vector());
+      ASSERT_EQ(out_edges(dense, u), out_edges(sparse, u));
+      ASSERT_EQ(in_edges(dense, u), in_edges(sparse, u));
     }
     EXPECT_EQ(dense.connected_to_base(), sparse.connected_to_base());
     EXPECT_EQ(sparse.connected_to_base(), geom::is_connected(field, radio.max_range()));
@@ -125,7 +139,7 @@ core::Instance grid_instance(int cols, int rows, energy::ChargingModel charging,
                                    n * (1 + spare_per_post));
 }
 
-TEST(DijkstraVariants, HeapDenseAndBucketAreBitIdentical) {
+TEST(DijkstraVariants, HeapAndBucketAreBitIdentical) {
   util::Rng rng(99);
   const std::vector<energy::ChargingModel> models{
       energy::ChargingModel::linear(0.008),
@@ -142,16 +156,12 @@ TEST(DijkstraVariants, HeapDenseAndBucketAreBitIdentical) {
     ASSERT_TRUE(weight.bounds().usable());
 
     graph::DijkstraScratch heap_s;
-    graph::DijkstraScratch dense_s;
     graph::DijkstraScratch bucket_s;
-    ASSERT_TRUE(graph::shortest_distances_to_base(inst.graph(), inst.adjacency(), weight,
-                                                  heap_s, DijkstraVariant::kHeap));
-    ASSERT_TRUE(graph::shortest_distances_to_base(inst.graph(), inst.adjacency(), weight,
-                                                  dense_s, DijkstraVariant::kDense));
-    ASSERT_TRUE(graph::shortest_distances_to_base(inst.graph(), inst.adjacency(), weight,
-                                                  bucket_s, DijkstraVariant::kBucket));
+    ASSERT_TRUE(graph::shortest_distances_to_base(inst.graph(), inst.adjacency(),
+                                                  test::heap_only(weight), heap_s));
+    ASSERT_TRUE(
+        graph::shortest_distances_to_base(inst.graph(), inst.adjacency(), weight, bucket_s));
     for (std::size_t v = 0; v < heap_s.dist.size(); ++v) {
-      ASSERT_EQ(heap_s.dist[v], dense_s.dist[v]) << "vertex " << v;
       ASSERT_EQ(heap_s.dist[v], bucket_s.dist[v]) << "vertex " << v;
     }
 
@@ -160,27 +170,26 @@ TEST(DijkstraVariants, HeapDenseAndBucketAreBitIdentical) {
     // packed arrays).
     const auto legacy = [&](int from, int to) { return weight(from, to); };
     graph::DijkstraScratch legacy_s;
-    ASSERT_TRUE(graph::shortest_distances_to_base(inst.graph(), inst.adjacency(), legacy,
-                                                  legacy_s, DijkstraVariant::kHeap));
+    ASSERT_TRUE(
+        graph::shortest_distances_to_base(inst.graph(), inst.adjacency(), legacy, legacy_s));
     for (std::size_t v = 0; v < heap_s.dist.size(); ++v) {
       ASSERT_EQ(heap_s.dist[v], legacy_s.dist[v]);
     }
 
     // Parent extraction goes through the same weights: DAGs must agree.
-    const auto dag_heap = graph::shortest_paths_to_base(inst.graph(), inst.adjacency(), weight,
-                                                        1e-9, DijkstraVariant::kHeap);
-    const auto dag_bucket = graph::shortest_paths_to_base(inst.graph(), inst.adjacency(), weight,
-                                                          1e-9, DijkstraVariant::kBucket);
+    const auto dag_heap =
+        graph::shortest_paths_to_base(inst.graph(), inst.adjacency(), test::heap_only(weight));
+    const auto dag_bucket =
+        graph::shortest_paths_to_base(inst.graph(), inst.adjacency(), weight);
     EXPECT_EQ(dag_heap.dist, dag_bucket.dist);
     EXPECT_EQ(dag_heap.parents, dag_bucket.parents);
   }
 }
 
 TEST(DijkstraVariants, AutoPicksBucketOnSparseBoundedWeights) {
-  // 15x15 grid: ~224 posts with degree <= 8, so the dense scan loses and the
-  // recharging weight's usable bounds() make Dial eligible.
+  // 15x15 grid, ~224 posts: the recharging weight's usable bounds() make
+  // Dial eligible.
   const core::Instance inst = grid_instance(15, 15, energy::ChargingModel::linear(0.008));
-  ASSERT_LT(inst.adjacency().avg_degree() * 8.0, static_cast<double>(inst.graph().num_vertices()));
   const std::vector<int> deployment(static_cast<std::size_t>(inst.num_posts()), 1);
   const core::RechargingWeight weight(inst, deployment);
   ASSERT_TRUE(weight.bounds().usable());
@@ -188,12 +197,11 @@ TEST(DijkstraVariants, AutoPicksBucketOnSparseBoundedWeights) {
   obs::Counter& dial = obs::Registry::global().counter("dijkstra/dial_runs");
   const std::uint64_t before = dial.value();
   graph::DijkstraScratch scratch;
-  ASSERT_TRUE(graph::shortest_distances_to_base(inst.graph(), inst.adjacency(), weight, scratch,
-                                                DijkstraVariant::kAuto));
+  ASSERT_TRUE(graph::shortest_distances_to_base(inst.graph(), inst.adjacency(), weight, scratch));
   EXPECT_EQ(dial.value(), before + 1);
 }
 
-TEST(DijkstraVariants, BucketFallsBackToHeapWithoutBounds) {
+TEST(DijkstraVariants, AutoFallsBackToHeapWithoutBounds) {
   const core::Instance inst = grid_instance(6, 6, energy::ChargingModel::linear(0.008));
   const auto unbounded = [](int, int) { return 1.0; };  // no bounds() member
   obs::Counter& heap_runs = obs::Registry::global().counter("dijkstra/heap_runs");
@@ -201,8 +209,8 @@ TEST(DijkstraVariants, BucketFallsBackToHeapWithoutBounds) {
   const std::uint64_t heap_before = heap_runs.value();
   const std::uint64_t dial_before = dial.value();
   graph::DijkstraScratch scratch;
-  ASSERT_TRUE(graph::shortest_distances_to_base(inst.graph(), inst.adjacency(), unbounded,
-                                                scratch, DijkstraVariant::kBucket));
+  ASSERT_TRUE(
+      graph::shortest_distances_to_base(inst.graph(), inst.adjacency(), unbounded, scratch));
   EXPECT_EQ(heap_runs.value(), heap_before + 1);
   EXPECT_EQ(dial.value(), dial_before);
 }

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/pricer.hpp"
 #include "svc/client.hpp"
 #include "svc/planner.hpp"
 
@@ -218,16 +219,31 @@ TEST_F(SvcServerTest, EvaluatePricesIncrementally) {
   moved[2] = 2;
   push(moved);                       // move 0 -> 2: incremental
   push({2, 2, 2, 2, 2, 2});          // many-post delta: rebuild
+  push({2, 2, 2, 2, 2, 2});          // unchanged: incremental
+  push({3, 1, 2, 2, 2, 2});          // move 1 -> 0, receiver listed first: incremental
+  push({3, 1, 4, 2, 2, 2});          // +2 at post 2: rebuild
+  push({3, 1, 4, 3, 3, 2});          // +1 at posts 3 and 4: rebuild
+  std::vector<std::vector<int>> sent;
+  for (const io::Json& row : deployments.as_array()) {
+    std::vector<int>& deployment = sent.emplace_back();
+    for (const io::Json& m : row.as_array()) deployment.push_back(static_cast<int>(m.as_int()));
+  }
   params.set("deployments", std::move(deployments));
 
   const io::Json reply = client.call("evaluate", params);
   const io::Json* result = require_result(reply);
   ASSERT_NE(result, nullptr);
   const auto& costs = result->find("costs")->as_array();
-  ASSERT_EQ(costs.size(), 5u);
-  for (const io::Json& cost : costs) EXPECT_GT(cost.as_double(), 0.0);
-  EXPECT_EQ(result->find("incremental")->as_int(), 3);
-  EXPECT_EQ(result->find("rebuilt")->as_int(), 2);
+  ASSERT_EQ(costs.size(), sent.size());
+  EXPECT_EQ(result->find("incremental")->as_int(), 5);
+  EXPECT_EQ(result->find("rebuilt")->as_int(), 4);
+  // Every answer, incremental or rebuilt, prices its deployment the way a
+  // fresh pricer does.
+  const core::Instance instance = build_instance(Scenario::from_json(tiny_scenario_json()));
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    const double fresh = core::DeploymentPricer(instance, sent[i]).base_cost();
+    EXPECT_NEAR(costs[i].as_double(), fresh, 1e-9 * fresh) << "deployment " << i;
+  }
 
   // Incremental answers must equal what a fresh evaluation of the same
   // deployment computes (second request, same connection: warm state).

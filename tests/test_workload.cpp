@@ -88,8 +88,8 @@ TEST(Workload, UniformWeightsMatchLegacyDescendantForm) {
 TEST(Workload, OptimalCostSumsWeightedDistances) {
   const Instance inst = weighted_chain(2, 4, {2.0, 3.0});
   const std::vector<int> deployment{2, 2};
-  const auto dag =
-      graph::shortest_paths_to_base(inst.graph(), recharging_weight(inst, deployment));
+  const auto dag = graph::shortest_paths_to_base(inst.graph(), inst.adjacency(),
+                                                 RechargingWeight(inst, deployment));
   const double expected = 2.0 * dag.dist[0] + 3.0 * dag.dist[1];
   EXPECT_NEAR(optimal_cost_for_deployment(inst, deployment), expected, expected * 1e-12);
 }
