@@ -31,7 +31,6 @@
 #include "graph/dijkstra.hpp"
 #include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
-#include "util/arena.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -390,13 +389,12 @@ BENCHMARK(BM_sparse_instance_build)
     ->Unit(benchmark::kMillisecond);
 
 // Whole-deployment pricing (one charging-aware Dijkstra + cost fold) on the
-// sparse path; kAuto resolves to the bucket queue here because the packed
+// sparse path; the Dijkstra runs the bucket queue here because the packed
 // adjacency carries weight bounds.
 void BM_sparse_price_deployment(benchmark::State& state) {
   const auto& inst = sparse_instance(static_cast<int>(state.range(0)));
   const std::vector<int> deployment(static_cast<std::size_t>(inst.num_posts()), 2);
-  util::BumpArena arena;
-  core::CostEvalScratch scratch(arena);
+  core::CostEvalScratch scratch;
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::optimal_cost_for_deployment(inst, deployment, scratch));
   }

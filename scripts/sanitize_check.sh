@@ -5,6 +5,9 @@
 #
 #   scripts/sanitize_check.sh                  # thread
 #   scripts/sanitize_check.sh address,undefined
+#
+# Every sanitizer build also defines _GLIBCXX_ASSERTIONS, so each
+# std::vector index in the library is bounds-checked while the suite runs.
 set -euo pipefail
 
 sanitize="${1:-thread}"
@@ -13,6 +16,7 @@ build_dir="${repo_root}/build-${sanitize//,/_}"
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS \
   -DWRSN_SANITIZE="${sanitize}" >/dev/null
 cmake --build "${build_dir}" -j "$(nproc)"
 ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"

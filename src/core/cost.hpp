@@ -118,12 +118,8 @@ class EnergyWeight {
 /// Reusable deployment-pricing state: one Dijkstra run's buffers plus the
 /// rebindable weight.  Lets callers price thousands of deployments with
 /// zero steady-state allocation; use one per thread in parallel loops (the
-/// buffers are not synchronized).  Construct with a BumpArena to keep the
-/// vertex-sized buffers in per-solve arena memory.
+/// buffers are not synchronized).
 struct CostEvalScratch {
-  CostEvalScratch() = default;
-  explicit CostEvalScratch(util::BumpArena& arena) : dijkstra(arena) {}
-
   graph::DijkstraScratch dijkstra;
   std::optional<RechargingWeight> weight;  // bound lazily per instance
 };

@@ -14,7 +14,6 @@
 #include "core/pricer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
-#include "util/arena.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -92,6 +91,13 @@ int choose_split_depth(int n, int m, int cap, int workers, int requested) {
   return depth;
 }
 
+/// Commits adds or removes at `post` until the pricer's deployment holds
+/// `target` nodes there.
+void set_count(DeploymentPricer& pricer, int post, int target) {
+  while (pricer.deployment()[static_cast<std::size_t>(post)] < target) pricer.add_node(post);
+  while (pricer.deployment()[static_cast<std::size_t>(post)] > target) pricer.remove_node(post);
+}
+
 /// Enumerates frontier prefixes in serial DFS order (descending take per
 /// level, the order the one-worker search visits them), pricing each
 /// complete prefix's admissible subtree bound incrementally: adjacent
@@ -102,28 +108,15 @@ struct TaskGenerator {
   const ExactOptions& options;
   DeploymentPricer& pricer;
   int depth;
-  std::vector<int> current;
   std::vector<std::pair<int, int>> additions;
   std::vector<FrontierTask> tasks;
-
-  void set_count(int post, int target) {
-    int& count = current[static_cast<std::size_t>(post)];
-    while (count < target) {
-      pricer.add_node(post);
-      ++count;
-    }
-    while (count > target) {
-      pricer.remove_node(post);
-      --count;
-    }
-  }
 
   void descend(int post, int remaining) {
     const int n = instance.num_posts();
     const int cap = effective_cap(options.max_per_post);
     if (post == depth) {
       FrontierTask task;
-      task.prefix.assign(current.begin(), current.begin() + depth);
+      task.prefix.assign(pricer.deployment().begin(), pricer.deployment().begin() + depth);
       task.remaining = remaining;
       // Admissible bound for the whole subtree: grant every open post the
       // most any single post could still take (cost strictly decreases in
@@ -142,10 +135,10 @@ struct TaskGenerator {
     const int hi = std::min(cap, remaining - undecided_after);
     if (hi < 1) return;  // infeasible branch (cap too tight)
     for (int take = hi; take >= 1; --take) {
-      set_count(post, take);
+      set_count(pricer, post, take);
       descend(post + 1, remaining - take);
     }
-    set_count(post, 1);
+    set_count(pricer, post, 1);
   }
 };
 
@@ -283,33 +276,16 @@ struct SharedSearch {
 /// serial DFS over the open posts, pruning against the shared incumbent.
 struct SearchWorker {
   SharedSearch& shared;
-  util::BumpArena arena;
   std::optional<DeploymentPricer> pricer;
-  std::vector<int> current;
   std::vector<std::pair<int, int>> additions;
   std::uint64_t local_evals = 0;
   double self_best = graph::kInfinity;  ///< last canonical cost we published
 
-  explicit SearchWorker(SharedSearch& state)
-      : shared(state), current(static_cast<std::size_t>(state.n), 1) {}
+  explicit SearchWorker(SharedSearch& state) : shared(state) {}
 
   void ensure_pricer() {
     if (pricer.has_value()) return;
-    DeploymentPricer::Options pricer_options;
-    pricer_options.arena = &arena;
-    pricer.emplace(shared.instance, current, pricer_options);
-  }
-
-  void set_count(int post, int target) {
-    int& count = current[static_cast<std::size_t>(post)];
-    while (count < target) {
-      pricer->add_node(post);
-      ++count;
-    }
-    while (count > target) {
-      pricer->remove_node(post);
-      --count;
-    }
+    pricer.emplace(shared.instance, std::vector<int>(static_cast<std::size_t>(shared.n), 1));
   }
 
   /// Reads the clock only on anytime runs; sets the stop flag on expiry.
@@ -339,6 +315,7 @@ struct SearchWorker {
       // let (canonical cost, lexicographic deployment) pick the winner:
       // both are pure functions of the deployment, so the final incumbent
       // is the same for every schedule and thread count.
+      const std::vector<int>& current = pricer->deployment();
       const double canonical = optimal_cost_for_deployment(shared.instance, current);
       std::lock_guard<std::mutex> lock(shared.best_mutex);
       if (canonical < shared.best_cost ||
@@ -387,9 +364,9 @@ struct SearchWorker {
     if (undecided_after == 0) {
       // Last post must absorb the entire remaining budget.
       if (remaining > shared.cap) return;
-      set_count(post, remaining);
+      set_count(*pricer, post, remaining);
       dfs(post + 1, 0);
-      set_count(post, 1);
+      set_count(*pricer, post, 1);
       return;
     }
 
@@ -415,11 +392,11 @@ struct SearchWorker {
     // Descend large-first: concentrating nodes early tends to match the
     // optimum's shape, improving the incumbent quickly.
     for (int take = hi; take >= 1; --take) {
-      set_count(post, take);
+      set_count(*pricer, post, take);
       dfs(post + 1, remaining - take);
       if (shared.stop.load(std::memory_order_relaxed)) break;
     }
-    set_count(post, 1);
+    set_count(*pricer, post, 1);
   }
 
   void run(int w) {
@@ -438,9 +415,9 @@ struct SearchWorker {
       ensure_pricer();
       const int depth = static_cast<int>(task.prefix.size());
       for (int p = 0; p < depth; ++p) {
-        set_count(p, task.prefix[static_cast<std::size_t>(p)]);
+        set_count(*pricer, p, task.prefix[static_cast<std::size_t>(p)]);
       }
-      for (int p = depth; p < shared.n; ++p) set_count(p, 1);
+      for (int p = depth; p < shared.n; ++p) set_count(*pricer, p, 1);
       dfs(depth, task.remaining);
       // An aborted task keeps its bound in the anytime certificate; only a
       // fully explored subtree leaves it.
@@ -487,14 +464,9 @@ ExactResult solve_exact(const Instance& instance, const ExactOptions& options) {
   // (Construction throws InfeasibleInstance when a post cannot reach the
   // base -- previously surfaced at the first leaf.)
   {
-    util::BumpArena generator_arena;
-    DeploymentPricer::Options pricer_options;
-    pricer_options.arena = &generator_arena;
-    DeploymentPricer generator_pricer(
-        instance, std::vector<int>(static_cast<std::size_t>(n), 1), pricer_options);
+    DeploymentPricer generator_pricer(instance, std::vector<int>(static_cast<std::size_t>(n), 1));
     const int depth = choose_split_depth(n, m, shared.cap, workers, options.split_depth);
-    TaskGenerator generator{instance, options, generator_pricer, depth,
-                            std::vector<int>(static_cast<std::size_t>(n), 1), {}, {}};
+    TaskGenerator generator{instance, options, generator_pricer, depth, {}, {}};
     generator.descend(0, m);
     shared.tasks = std::move(generator.tasks);
   }

@@ -3,7 +3,6 @@
 #include "core/pricer.hpp"
 #include "obs/sink.hpp"
 #include "obs/trace.hpp"
-#include "util/arena.hpp"
 
 #include <stdexcept>
 
@@ -53,17 +52,10 @@ IdbResult solve_idb(const Instance& instance, const IdbOptions& options) {
 
   int remaining = instance.spare_nodes();
 
-  // Solve-scoped arena: the pricer's repair buffers and the multiset
-  // sweep's Dijkstra scratch all bump-allocate here and are released in one
-  // free when the solve returns (util/arena.hpp).
-  util::BumpArena arena;
-
   if (options.delta == 1) {
     // Fast path: price each one-node addition incrementally instead of
     // re-running Dijkstra per candidate (see core/pricer.hpp).
-    DeploymentPricer::Options pricer_options;
-    pricer_options.arena = &arena;
-    DeploymentPricer pricer(instance, deployment, pricer_options);
+    DeploymentPricer pricer(instance, deployment);
     while (remaining > 0) {
       int best_post = -1;
       double best_cost = graph::kInfinity;
@@ -91,7 +83,7 @@ IdbResult solve_idb(const Instance& instance, const IdbOptions& options) {
   // One scratch + one tentative buffer for the whole delta > 1 sweep: the
   // multiset loop prices thousands of candidates and must not allocate or
   // rebuild weight tables per candidate.
-  CostEvalScratch scratch(arena);
+  CostEvalScratch scratch;
   std::vector<int> tentative;
   while (remaining > 0) {
     const int batch = std::min(options.delta, remaining);

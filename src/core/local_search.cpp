@@ -5,7 +5,6 @@
 #include "obs/progress.hpp"
 #include "obs/sink.hpp"
 #include "obs/trace.hpp"
-#include "util/arena.hpp"
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
@@ -68,12 +67,9 @@ struct Candidate {
 
 // One per worker: pricing buffers plus a private deployment copy (kFull) or
 // a private dynamic pricer (kIncremental), so the parallel batch touches no
-// shared mutable state.  Each worker owns a bump arena feeding its scratch
-// and pricer buffers; `contexts` is sized once and never reallocated, so the
-// arena's address stays stable for the allocators that point at it.
+// shared mutable state.
 struct EvalContext {
-  util::BumpArena arena;
-  CostEvalScratch scratch{arena};
+  CostEvalScratch scratch;
   std::vector<int> deployment;
   std::optional<DeploymentPricer> pricer;
   /// Committed moves already replayed into `pricer`.
@@ -107,9 +103,7 @@ void price_chunk_incremental(const Instance& instance, const std::vector<int>& s
   static obs::Counter& incremental_evals =
       obs::Registry::global().counter("ls/incremental_evals");
   if (!ctx.pricer.has_value()) {
-    DeploymentPricer::Options pricer_options;
-    pricer_options.arena = &ctx.arena;
-    ctx.pricer.emplace(instance, start, pricer_options);
+    ctx.pricer.emplace(instance, start);
     ctx.synced = 0;
   }
   while (ctx.synced < committed.size()) {

@@ -34,16 +34,7 @@ DeploymentPricer::DeploymentPricer(const Instance& instance, std::vector<int> de
       bs_(instance.graph().base_station()),
       deployment_(std::move(deployment)),
       weight_(instance, deployment_),
-      child_offset_(util::ArenaAllocator<int>(options.arena)),
-      child_list_(util::ArenaAllocator<int>(options.arena)),
-      scratch_weight_(weight_),
-      sources_(util::ArenaAllocator<int>(options.arena)),
-      region_(util::ArenaAllocator<int>(options.arena)),
-      in_region_(util::ArenaAllocator<char>(options.arena)),
-      heap_(util::ArenaAllocator<std::pair<double, int>>(options.arena)),
-      settled_(util::ArenaAllocator<char>(options.arena)),
-      full_scratch_(options.arena != nullptr ? graph::DijkstraScratch(*options.arena)
-                                             : graph::DijkstraScratch()) {
+      scratch_weight_(weight_) {
   // weight_ has already rejected a deployment of the wrong size.
   const int n = instance.num_posts();
   disabled_.assign(deployment_.size(), 0);
@@ -114,7 +105,7 @@ void DeploymentPricer::full_recompute(const RechargingWeight& weight,
     if (!graph::shortest_distances_to_base(instance_->graph(), adj, weight, full_scratch_)) {
       throw InfeasibleInstance("some post cannot reach the base station");
     }
-    dist.assign(full_scratch_.dist.begin(), full_scratch_.dist.end());
+    dist = full_scratch_.dist;
   }
   if (parents == nullptr) return;
   // Rebuild one strict-argmin tight parent per reachable post.  The argmin
@@ -142,7 +133,7 @@ void DeploymentPricer::full_recompute(const RechargingWeight& weight,
   }
 }
 
-void DeploymentPricer::improve_relax(const util::ArenaVector<int>& sources,
+void DeploymentPricer::improve_relax(const std::vector<int>& sources,
                                      const RechargingWeight& weight,
                                      std::vector<double>& dist,
                                      std::vector<int>* parents) const {

@@ -55,10 +55,6 @@ class DeploymentPricer {
     /// fall back to one full recompute (the bounded repair would do more
     /// work than a fresh Dijkstra).
     double full_recompute_fraction = 0.5;
-    /// When set, the pricer's reusable repair/evaluation buffers live in
-    /// this arena (one arena per worker, same lifetime discipline as the
-    /// pricer itself; see util/arena.hpp).
-    util::BumpArena* arena = nullptr;
   };
 
   /// `deployment` must have one entry >= 1 per post. Runs one full Dijkstra.
@@ -113,7 +109,7 @@ class DeploymentPricer {
   /// Improve-only relaxation seeded at `sources` (posts whose efficiency
   /// just improved): restores the fixpoint after weight decreases.  Updates
   /// `parents` when non-null.
-  void improve_relax(const util::ArenaVector<int>& sources, const RechargingWeight& weight,
+  void improve_relax(const std::vector<int>& sources, const RechargingWeight& weight,
                      std::vector<double>& dist, std::vector<int>* parents) const;
   /// Decremental repair after a weight increase at post `a`: invalidates
   /// a's parent-tree subtree, re-seeds it, and reruns a bounded Dijkstra
@@ -147,20 +143,19 @@ class DeploymentPricer {
 
   // Children lists of the committed parent tree (CSR layout), rebuilt
   // lazily: candidate evaluations between two commits share one build.
-  // Arena-backed (Options::arena) together with the repair buffers below.
-  mutable util::ArenaVector<int> child_offset_;
-  mutable util::ArenaVector<int> child_list_;
+  mutable std::vector<int> child_offset_;
+  mutable std::vector<int> child_list_;
   mutable bool children_stale_ = true;
 
   // Reusable buffers for candidate evaluation and repair.  They make the
   // const pricing methods non-reentrant: one pricer per thread.
   mutable std::vector<double> scratch_dist_;
   mutable RechargingWeight scratch_weight_;
-  mutable util::ArenaVector<int> sources_;
-  mutable util::ArenaVector<int> region_;
-  mutable util::ArenaVector<char> in_region_;
-  mutable util::ArenaVector<std::pair<double, int>> heap_;
-  mutable util::ArenaVector<char> settled_;  // for the disabled-aware dense Dijkstra
+  mutable std::vector<int> sources_;
+  mutable std::vector<int> region_;
+  mutable std::vector<char> in_region_;
+  mutable std::vector<std::pair<double, int>> heap_;
+  mutable std::vector<char> settled_;  // for the disabled-aware dense Dijkstra
   mutable graph::DijkstraScratch full_scratch_;
 };
 

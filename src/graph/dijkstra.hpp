@@ -34,7 +34,6 @@
 
 #include "graph/bitset.hpp"
 #include "graph/reach_graph.hpp"
-#include "util/arena.hpp"
 
 namespace wrsn::graph {
 
@@ -74,20 +73,13 @@ constexpr double kRelTieEps = 1e-9;
 
 /// Reusable buffers for repeated Dijkstra runs over one graph; at steady
 /// state a run performs zero allocations.  One per thread in parallel
-/// callers (buffers are not synchronized).  Construct with a BumpArena to
-/// keep the vertex-sized arrays in per-solve arena memory.
+/// callers (buffers are not synchronized).
 struct DijkstraScratch {
-  DijkstraScratch() = default;
-  explicit DijkstraScratch(util::BumpArena& arena)
-      : dist(util::ArenaAllocator<double>(arena)),
-        settled(util::ArenaAllocator<char>(arena)),
-        heap(util::ArenaAllocator<std::pair<double, int>>(arena)) {}
-
-  util::ArenaVector<double> dist;
-  util::ArenaVector<char> settled;
-  util::ArenaVector<std::pair<double, int>> heap;  // heap-loop storage
-  // Bucket-loop storage (kept on the global heap: the outer vector is
-  // resized rarely and the inner ones retain capacity across runs).
+  std::vector<double> dist;
+  std::vector<char> settled;
+  std::vector<std::pair<double, int>> heap;  // heap-loop storage
+  // Bucket-loop storage: the outer vector is resized rarely and the inner
+  // ones retain capacity across runs.
   std::vector<std::vector<std::pair<double, int>>> buckets;
 };
 
@@ -282,7 +274,7 @@ ShortestPathDag shortest_paths_to_base(const ReachGraph& graph, const ReachAdjac
   dag.base_station = bs;
   dag.all_posts_reachable =
       shortest_distances_to_base(graph, adj, weight, scratch);
-  dag.dist.assign(scratch.dist.begin(), scratch.dist.end());
+  dag.dist = std::move(scratch.dist);
   dag.parents.assign(static_cast<std::size_t>(n), {});
 
   // Tight-predecessor extraction: v keeps every next hop on some shortest

@@ -104,17 +104,13 @@ class FrameProgressSink : public obs::ProgressSink {
   std::map<std::string, SourceState> sources_;
 };
 
-/// Borrow/return RAII for a session's warm evaluation state.
-class WarmGuard {
- public:
-  explicit WarmGuard(Session& session) : session_(session), state_(session.borrow_warm()) {}
-  ~WarmGuard() { session_.return_warm(std::move(state_)); }
-  WarmState& operator*() noexcept { return *state_; }
-  WarmState* operator->() noexcept { return state_.get(); }
+/// Borrow/return RAII for one of a session's committed pricers.
+struct PricerLoan {
+  explicit PricerLoan(Session& lender) : session(lender), pricer(lender.borrow_pricer()) {}
+  ~PricerLoan() { session.return_pricer(std::move(pricer)); }
 
- private:
-  Session& session_;
-  std::unique_ptr<WarmState> state_;
+  Session& session;
+  std::unique_ptr<core::DeploymentPricer> pricer;  ///< null when the pool was empty
 };
 
 Scenario scenario_from_params(const io::Json& params) {
@@ -581,7 +577,7 @@ io::Json Server::handle_evaluate(const Request& request) {
   const core::Instance& instance = session->instance();
   const int posts = instance.num_posts();
 
-  WarmGuard warm(*session);
+  PricerLoan loan(*session);
   std::int64_t incremental = 0;
   std::int64_t rebuilt = 0;
   io::Json costs = io::Json::array();
@@ -604,7 +600,7 @@ io::Json Server::handle_evaluate(const Request& request) {
     }
 
     double cost = 0.0;
-    core::DeploymentPricer* pricer = warm->pricer.get();
+    core::DeploymentPricer* pricer = loan.pricer.get();
     if (pricer != nullptr) {
       // Classify the delta against the committed deployment: single-post
       // changes price by incremental shortest-path repair.
@@ -656,12 +652,9 @@ io::Json Server::handle_evaluate(const Request& request) {
       }
     }
     if (pricer == nullptr) {
-      // Full (re)build: one fresh Dijkstra, buffers in the session arena.
-      core::DeploymentPricer::Options pricer_options;
-      pricer_options.arena = &warm->arena;
-      warm->pricer = std::make_unique<core::DeploymentPricer>(instance, deployment,
-                                                              pricer_options);
-      cost = warm->pricer->base_cost();
+      // Full (re)build: one fresh Dijkstra; the replaced pricer is freed.
+      loan.pricer = std::make_unique<core::DeploymentPricer>(instance, deployment);
+      cost = loan.pricer->base_cost();
       ++rebuilt;
     }
     costs.push_back(std::isfinite(cost) ? io::Json(cost) : io::Json());

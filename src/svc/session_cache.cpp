@@ -28,25 +28,21 @@ obs::Gauge& cache_sessions() {
 
 }  // namespace
 
-std::unique_ptr<WarmState> Session::borrow_warm() {
-  {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    if (!pool_.empty()) {
-      std::unique_ptr<WarmState> state = std::move(pool_.back());
-      pool_.pop_back();
-      return state;
-    }
-  }
-  return std::make_unique<WarmState>();
-}
-
-void Session::return_warm(std::unique_ptr<WarmState> state) {
-  if (state == nullptr) return;
+std::unique_ptr<core::DeploymentPricer> Session::borrow_pricer() {
   std::lock_guard<std::mutex> lock(pool_mutex_);
-  pool_.push_back(std::move(state));
+  if (pool_.empty()) return nullptr;
+  std::unique_ptr<core::DeploymentPricer> pricer = std::move(pool_.back());
+  pool_.pop_back();
+  return pricer;
 }
 
-std::size_t Session::warm_pool_size() const {
+void Session::return_pricer(std::unique_ptr<core::DeploymentPricer> pricer) {
+  if (pricer == nullptr) return;
+  std::lock_guard<std::mutex> lock(pool_mutex_);
+  pool_.push_back(std::move(pricer));
+}
+
+std::size_t Session::pricer_pool_size() const {
   std::lock_guard<std::mutex> lock(pool_mutex_);
   return pool_.size();
 }

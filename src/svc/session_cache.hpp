@@ -3,19 +3,17 @@
 // A cold `plan`/`evaluate` request pays for scenario parsing, field
 // rejection sampling, adjacency construction, and a fresh Dijkstra scratch;
 // a warm request reuses all of it.  One `Session` owns the immutable parsed
-// `core::Instance` for a scenario fingerprint plus a pool of per-worker
-// warm state (BumpArena + CostEvalScratch + committed DeploymentPricer), so
-// repeat traffic against the same scenario prices deployments with zero
-// steady-state allocation and -- for single-post deltas -- by incremental
-// shortest-path repair instead of a fresh Dijkstra (docs/service.md
-// "Session cache"; perfbench's `service` workload times warm against cold
-// plans).
+// `core::Instance` for a scenario fingerprint plus a pool of committed
+// `core::DeploymentPricer`s, so repeat traffic against the same scenario
+// prices single-post deltas by incremental shortest-path repair instead of
+// a fresh Dijkstra (docs/service.md "Session cache"; perfbench's `service`
+// workload times warm against cold plans).
 //
 // Concurrency contract: `acquire` is callable from every worker thread.
 // Concurrent acquires of the same fingerprint build the instance once (the
 // losers block on the builder's shared_future); eviction only drops the
 // cache's reference, so in-flight requests holding the shared_ptr keep
-// their session alive.  Warm states are borrowed/returned, never shared.
+// their session alive.  Pricers are borrowed/returned, never shared.
 #pragma once
 
 #include <cstdint>
@@ -26,28 +24,13 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/cost.hpp"
 #include "core/instance.hpp"
 #include "core/pricer.hpp"
 #include "svc/protocol.hpp"
-#include "util/arena.hpp"
 
 namespace wrsn::svc {
 
-/// Per-worker warm evaluation state.  The arena backs both the Dijkstra
-/// scratch and the pricer's repair buffers and is never reset while they
-/// live (the arena grows to the instance's working set once, then stays).
-struct WarmState {
-  WarmState() : scratch(arena) {}
-
-  util::BumpArena arena;
-  core::CostEvalScratch scratch;
-  /// Committed pricer from the last evaluate that used this state; rebuilt
-  /// whenever a requested deployment is not a single-post delta from it.
-  std::unique_ptr<core::DeploymentPricer> pricer;
-};
-
-/// One cached scenario: the parsed instance plus its warm-state pool.
+/// One cached scenario: the parsed instance plus its pool of pricers.
 class Session {
  public:
   Session(Scenario scenario, core::Instance instance)
@@ -59,19 +42,19 @@ class Session {
   const core::Instance& instance() const noexcept { return instance_; }
   std::uint64_t fingerprint() const noexcept { return fingerprint_; }
 
-  /// Pops a pooled warm state or creates a fresh one.  The pricer inside a
-  /// pooled state is still committed to whatever deployment last used it.
-  std::unique_ptr<WarmState> borrow_warm();
-  /// Returns a warm state to the pool for the next borrower.
-  void return_warm(std::unique_ptr<WarmState> state);
-  std::size_t warm_pool_size() const;
+  /// Pops the pricer returned last, or nullptr when the pool is empty.  A
+  /// pooled pricer is still committed to whatever deployment last used it.
+  std::unique_ptr<core::DeploymentPricer> borrow_pricer();
+  /// Returns a pricer to the pool for the next borrower; nullptr is ignored.
+  void return_pricer(std::unique_ptr<core::DeploymentPricer> pricer);
+  std::size_t pricer_pool_size() const;
 
  private:
   Scenario scenario_;
   std::uint64_t fingerprint_;
   core::Instance instance_;
   mutable std::mutex pool_mutex_;
-  std::vector<std::unique_ptr<WarmState>> pool_;
+  std::vector<std::unique_ptr<core::DeploymentPricer>> pool_;
 };
 
 struct CacheStats {

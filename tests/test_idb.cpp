@@ -146,5 +146,63 @@ TEST(SolveIdb, SinglePostGetsEverything) {
   EXPECT_EQ(result.solution.deployment, (std::vector<int>{5}));
 }
 
+TEST(SolveIdb, GoldenDeploymentsAndCosts) {
+  // IDB outputs recorded while the pricer (delta = 1) and the multiset
+  // sweep's Dijkstra scratch (delta = 2) still bump-allocated from a
+  // solve-scoped arena: the deployment and the tree (FNV-1a over the
+  // parent vector) and the cost must match to the last bit.
+  struct Golden {
+    int posts;
+    int nodes;
+    double side;
+    int delta;
+    bool sub_linear;
+    std::uint64_t seed;
+    std::uint64_t deployment_hash;
+    std::uint64_t tree_hash;
+    double cost;
+  };
+  const std::vector<Golden> goldens = {
+      {50, 150, 300.0, 1, false, 9601, 14435986931714129365ULL, 12217972960889122238ULL,
+       0.000473306583748283},
+      {50, 150, 300.0, 1, true, 9602, 8524733008712572869ULL, 9922613924685298035ULL,
+       0.00056676457854327328},
+      {150, 450, 420.0, 1, false, 9603, 1614047094900681847ULL, 16395021606411656583ULL,
+       0.0013531853001055103},
+      {150, 450, 420.0, 1, true, 9604, 3375170535922285503ULL, 706876685676685566ULL,
+       0.0019871603499054822},
+      {300, 900, 520.0, 1, false, 9605, 6829295280858298159ULL, 11078613902718471326ULL,
+       0.0025634838010170167},
+      {300, 900, 520.0, 1, true, 9606, 2310203101412803587ULL, 3805701953348133562ULL,
+       0.0036227842599921038},
+      // delta = 2 with an odd spare count, so the last round places one node.
+      {50, 75, 300.0, 2, false, 9607, 7382405856172434352ULL, 4400964096083321717ULL,
+       0.0010379854817708328},
+      {50, 75, 300.0, 2, true, 9608, 1755504873062818468ULL, 8317722545275105937ULL,
+       0.00096919901492670767},
+      {150, 153, 420.0, 2, false, 9609, 4707872600644509472ULL, 11918730785758352918ULL,
+       0.0085552070312499961},
+      {150, 153, 420.0, 2, true, 9610, 2111088661724034722ULL, 14113928473388705401ULL,
+       0.0095817130584618417},
+      {300, 302, 520.0, 2, false, 9611, 14504419308819687663ULL, 14526334666551867681ULL,
+       0.02204945703125006},
+      {300, 302, 520.0, 2, true, 9612, 594984090792622923ULL, 12735116580688893565ULL,
+       0.022103841793827777},
+  };
+  for (const Golden& golden : goldens) {
+    util::Rng rng(golden.seed);
+    const energy::ChargingModel charging = golden.sub_linear
+                                               ? energy::ChargingModel::sub_linear(0.01, 0.8)
+                                               : energy::ChargingModel::linear(0.01);
+    const Instance inst =
+        test::random_instance(golden.posts, golden.nodes, golden.side, rng, charging);
+    const IdbResult result = solve_idb(inst, IdbOptions{golden.delta, false});
+    EXPECT_EQ(test::fnv1a(result.solution.deployment), golden.deployment_hash)
+        << "seed " << golden.seed;
+    EXPECT_EQ(test::parent_hash(result.solution.tree), golden.tree_hash) << "seed " << golden.seed;
+    EXPECT_EQ(result.cost, golden.cost) << "seed " << golden.seed;
+  }
+}
+
 }  // namespace
 }  // namespace wrsn::core

@@ -1,6 +1,6 @@
 // SessionCache (svc/session_cache.hpp): hit/miss accounting, LRU eviction
 // order, eviction safety for in-flight holders, build-once under concurrent
-// same-fingerprint acquires, and the warm-state borrow/return pool.
+// same-fingerprint acquires, and the pricer borrow/return pool.
 #include "svc/session_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -71,8 +71,9 @@ TEST(SvcCache, EvictionDoesNotInvalidateHolders) {
   EXPECT_EQ(cache.size(), 1u);
   // The holder's session is still fully usable.
   EXPECT_EQ(held->instance().num_posts(), 5);
-  const auto warm = held->borrow_warm();
-  EXPECT_NE(warm, nullptr);
+  held->return_pricer(
+      std::make_unique<core::DeploymentPricer>(held->instance(), std::vector<int>(5, 2)));
+  EXPECT_NE(held->borrow_pricer(), nullptr);
 }
 
 TEST(SvcCache, FailedBuildIsNotCached) {
@@ -106,40 +107,49 @@ TEST(SvcCache, ConcurrentAcquiresBuildOnce) {
   EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kThreads - 1));
 }
 
-TEST(SvcCache, WarmPoolRoundTrips) {
+TEST(SvcCache, PricerPoolRoundTrips) {
   SessionCache cache(2);
   const auto session = cache.acquire(tiny_scenario(1));
-  EXPECT_EQ(session->warm_pool_size(), 0u);
-  auto warm = session->borrow_warm();
-  ASSERT_NE(warm, nullptr);
-  EXPECT_EQ(warm->pricer, nullptr);
-  WarmState* raw = warm.get();
-  session->return_warm(std::move(warm));
-  EXPECT_EQ(session->warm_pool_size(), 1u);
-  // The next borrow hands back the pooled state, not a fresh one.
-  auto again = session->borrow_warm();
-  EXPECT_EQ(again.get(), raw);
-  session->return_warm(std::move(again));
+  EXPECT_EQ(session->pricer_pool_size(), 0u);
+  EXPECT_EQ(session->borrow_pricer(), nullptr) << "an empty pool lends nothing";
+  session->return_pricer(nullptr);
+  EXPECT_EQ(session->pricer_pool_size(), 0u) << "null is not pooled";
+
+  const std::vector<int> deployment(5, 2);
+  auto first = std::make_unique<core::DeploymentPricer>(session->instance(), deployment);
+  auto second = std::make_unique<core::DeploymentPricer>(session->instance(), deployment);
+  const core::DeploymentPricer* raw_first = first.get();
+  const core::DeploymentPricer* raw_second = second.get();
+  session->return_pricer(std::move(first));
+  session->return_pricer(std::move(second));
+  EXPECT_EQ(session->pricer_pool_size(), 2u);
+  // Last in, first out.
+  auto again = session->borrow_pricer();
+  EXPECT_EQ(again.get(), raw_second);
+  EXPECT_EQ(session->borrow_pricer().get(), raw_first);
+  session->return_pricer(std::move(again));
+  EXPECT_EQ(session->pricer_pool_size(), 1u);
 }
 
-TEST(SvcCache, WarmStateSupportsIncrementalPricing) {
+TEST(SvcCache, PooledPricerStaysCommitted) {
   SessionCache cache(2);
   const auto session = cache.acquire(tiny_scenario(1));
-  auto warm = session->borrow_warm();
   const core::Instance& instance = session->instance();
 
   std::vector<int> deployment(static_cast<std::size_t>(instance.num_posts()), 1);
   deployment[0] = 1 + (instance.num_nodes() - instance.num_posts());
-  core::DeploymentPricer::Options options;
-  options.arena = &warm->arena;
-  warm->pricer = std::make_unique<core::DeploymentPricer>(instance, deployment, options);
-  const double base = warm->pricer->base_cost();
+  auto pricer = std::make_unique<core::DeploymentPricer>(instance, deployment);
+  const double base = pricer->base_cost();
   EXPECT_GT(base, 0.0);
+  session->return_pricer(std::move(pricer));
 
-  // An extra node at post 1 can only help (k(m) is non-decreasing).
-  const double with_extra = warm->pricer->cost_with_extra_node(1);
-  EXPECT_LE(with_extra, base + 1e-12);
-  session->return_warm(std::move(warm));
+  // The next borrower prices against the deployment the pricer was left at;
+  // an extra node at post 1 can only help (k(m) is non-decreasing).
+  const auto pooled = session->borrow_pricer();
+  ASSERT_NE(pooled, nullptr);
+  EXPECT_EQ(pooled->deployment(), deployment);
+  EXPECT_EQ(pooled->base_cost(), base);
+  EXPECT_LE(pooled->cost_with_extra_node(1), base + 1e-12);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "svc/server.hpp"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -327,6 +328,66 @@ TEST(SvcServerTcp, EphemeralPortRoundTrip) {
     EXPECT_TRUE(result->find("pong")->as_bool());
   }
   server.stop();
+}
+
+TEST(SvcServerMemory, EvaluateRebuildsHoldHeapFlat) {
+  // Every entry below rebuilds the session's pricer.  A replaced pricer must
+  // free its buffers, so once the first requests have warmed the heap a
+  // further identical request leaves the live heap where it was.
+  const auto live_heap_bytes = [] {
+    const struct mallinfo2 info = ::mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  if (live_heap_bytes() == 0) GTEST_SKIP() << "mallinfo2 sees no heap (sanitizer allocator)";
+
+  const std::string path = test_socket_path() + ".rebuilds";
+  ServerOptions options;
+  options.unix_path = path;
+  options.workers = 1;
+  Server server(options);
+  server.start();
+  Client client = Client::connect_unix(path);
+
+  io::Json params = io::Json::object();
+  io::Json scenario = io::Json::object();
+  scenario.set("posts", io::Json(200));
+  scenario.set("nodes", io::Json(800));
+  scenario.set("side", io::Json(500.0));
+  scenario.set("seed", io::Json(7));
+  params.set("scenario", std::move(scenario));
+  // Two deployments four posts apart, alternating: no entry is a
+  // single-post delta from the one before it.
+  const std::vector<int> even(200, 4);
+  std::vector<int> odd = even;
+  odd[0] = 5;
+  odd[1] = 3;
+  odd[2] = 5;
+  odd[3] = 3;
+  io::Json deployments = io::Json::array();
+  for (int i = 0; i < 400; ++i) {
+    io::Json row = io::Json::array();
+    for (const int m : i % 2 == 0 ? even : odd) row.push_back(io::Json(m));
+    deployments.push_back(std::move(row));
+  }
+  params.set("deployments", std::move(deployments));
+
+  std::vector<std::size_t> after_request;
+  for (int request = 0; request < 3; ++request) {
+    {
+      const io::Json reply = client.call("evaluate", params);
+      const io::Json* result = require_result(reply);
+      ASSERT_NE(result, nullptr);
+      EXPECT_EQ(result->find("rebuilt")->as_int(), 400);
+      // The single worker takes the ping only after it has dropped the
+      // evaluate task.
+      ASSERT_NE(require_result(client.call("ping", io::Json::object())), nullptr);
+    }
+    after_request.push_back(live_heap_bytes());
+  }
+  server.stop();
+  EXPECT_LT(after_request[2], after_request[1] + 128 * 1024)
+      << "live heap grew from " << after_request[1] << " to " << after_request[2]
+      << " bytes over 400 rebuilds";
 }
 
 TEST(SvcServerShutdown, StopUnblocksIdleConnections) {
