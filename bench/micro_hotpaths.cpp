@@ -362,6 +362,26 @@ void BM_move_price_incremental(benchmark::State& state) {
 }
 BENCHMARK(BM_move_price_incremental)->Arg(50)->Arg(100)->Arg(300);
 
+// ... and in local search's scan order: every receiver of one donor before
+// the next donor, so the pricer repairs each donor's removal once and every
+// other call pays only the receiver's relaxation.
+void BM_move_price_scan(benchmark::State& state) {
+  const auto& inst = move_instance(static_cast<int>(state.range(0)));
+  const int n = inst.num_posts();
+  const core::DeploymentPricer pricer(inst, std::vector<int>(static_cast<std::size_t>(n), 3));
+  int a = 0;
+  int b = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pricer.cost_with_moved_node(a, b));
+    if (++b == a) ++b;
+    if (b == n) {
+      a = (a + 1) % n;
+      b = a == 0 ? 1 : 0;
+    }
+  }
+}
+BENCHMARK(BM_move_price_scan)->Arg(50)->Arg(100)->Arg(300);
+
 // Sparse-core scaling rows, N in {1e3, 1e4, 1e5} posts.  These are
 // *trajectory* rows: scripts/bench_check.py --track '^BM_sparse_' reports
 // their drift without gating on it (absolute times at 1e5 are machine- and

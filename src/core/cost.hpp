@@ -59,6 +59,10 @@ class RechargingWeight {
   /// Takes post `post` out of service: every edge into or out of it weighs
   /// +infinity (DeploymentPricer::disable_post).
   void disable(int post) { inv_eff_.at(static_cast<std::size_t>(post)) = graph::kInfinity; }
+  /// Post `post`'s entry becomes `from`'s, bit for bit (disabled or not); O(1).
+  void copy_entry(int post, const RechargingWeight& from) {
+    inv_eff_.at(static_cast<std::size_t>(post)) = from.inv_eff_.at(static_cast<std::size_t>(post));
+  }
   /// 1/(k(m) eta) of post `post`'s current node count.
   double inv_efficiency(int post) const { return inv_eff_[static_cast<std::size_t>(post)]; }
   const Instance& instance() const noexcept { return *instance_; }

@@ -323,6 +323,21 @@ void DeploymentPricer::repair_increase(int a, const RechargingWeight& weight,
   for (int v : region_) in_region_[static_cast<std::size_t>(v)] = 0;
 }
 
+void DeploymentPricer::load_donor(int a) const {
+  if (donor_ == a) return;
+  const int previous = donor_;
+  donor_ = -1;  // stays dropped if the repair below throws
+  if (previous >= 0) {
+    donor_weight_->copy_entry(previous, weight_);  // the only entry off the committed table
+  } else {
+    donor_weight_ = weight_;  // first use, or dropped by a commit or a throw
+  }
+  donor_weight_->set_node_count(a, deployment_[static_cast<std::size_t>(a)] - 1);
+  donor_dist_ = dist_;
+  repair_increase(a, *donor_weight_, donor_dist_, nullptr);
+  donor_ = a;
+}
+
 double DeploymentPricer::cost_with_extra_node(int j) const {
   if (j < 0 || j >= instance_->num_posts()) throw std::out_of_range("post index out of range");
   if (is_disabled(j)) throw std::invalid_argument("cannot add a node to a disabled post");
@@ -342,14 +357,11 @@ double DeploymentPricer::cost_with_removed_node(int a) const {
   if (deployment_[static_cast<std::size_t>(a)] < 2) {
     throw std::invalid_argument("cannot remove the last node from a post");
   }
-  scratch_dist_ = dist_;
-  scratch_weight_ = weight_;
-  scratch_weight_.set_node_count(a, deployment_[static_cast<std::size_t>(a)] - 1);
+  load_donor(a);
   const double static_term =
       static_sum_ + instance_->static_energy(a) *
-                        (scratch_weight_.inv_efficiency(a) - weight_.inv_efficiency(a));
-  repair_increase(a, scratch_weight_, scratch_dist_, nullptr);
-  return weighted_distance_sum(scratch_dist_) + static_term;
+                        (donor_weight_->inv_efficiency(a) - weight_.inv_efficiency(a));
+  return weighted_distance_sum(donor_dist_) + static_term;
 }
 
 double DeploymentPricer::cost_with_moved_node(int a, int b) const {
@@ -360,22 +372,23 @@ double DeploymentPricer::cost_with_moved_node(int a, int b) const {
     throw std::invalid_argument("cannot remove the last node from a post");
   }
   // Phase 1 -- the removal (weight increase) under {a new, b old}: repaired
-  // distances are exact for that intermediate weight set.  Phase 2 -- the
-  // addition, a pure weight decrease from there: improve-only relaxation
+  // distances are exact for that intermediate weight set, and the donor
+  // cache keeps them for the next receiver.  Phase 2 -- the addition, a
+  // pure weight decrease from there: improve-only relaxation on a copy
   // lands on the exact fixpoint for {a new, b new}.
-  scratch_dist_ = dist_;
-  scratch_weight_ = weight_;
-  scratch_weight_.set_node_count(a, deployment_[static_cast<std::size_t>(a)] - 1);
-  repair_increase(a, scratch_weight_, scratch_dist_, nullptr);
-  scratch_weight_.set_node_count(b, deployment_[static_cast<std::size_t>(b)] + 1);
+  load_donor(a);
+  scratch_dist_ = donor_dist_;
+  RechargingWeight& weight = *donor_weight_;
+  donor_ = -1;  // a throw before b's entry is copied back leaves the cache dropped
+  weight.set_node_count(b, deployment_[static_cast<std::size_t>(b)] + 1);
   sources_ = {b};
-  improve_relax(sources_, scratch_weight_, scratch_dist_, nullptr);
+  improve_relax(sources_, weight, scratch_dist_, nullptr);
   const double static_term =
       static_sum_ +
-      instance_->static_energy(a) *
-          (scratch_weight_.inv_efficiency(a) - weight_.inv_efficiency(a)) +
-      instance_->static_energy(b) *
-          (scratch_weight_.inv_efficiency(b) - weight_.inv_efficiency(b));
+      instance_->static_energy(a) * (weight.inv_efficiency(a) - weight_.inv_efficiency(a)) +
+      instance_->static_energy(b) * (weight.inv_efficiency(b) - weight_.inv_efficiency(b));
+  weight.copy_entry(b, weight_);
+  donor_ = a;
   return weighted_distance_sum(scratch_dist_) + static_term;
 }
 
@@ -403,6 +416,7 @@ double DeploymentPricer::cost_with_added_nodes(
 void DeploymentPricer::add_node(int j) {
   if (j < 0 || j >= instance_->num_posts()) throw std::out_of_range("post index out of range");
   if (is_disabled(j)) throw std::invalid_argument("cannot add a node to a disabled post");
+  drop_donor();
   ++deployment_[static_cast<std::size_t>(j)];
   const double old_inv = weight_.inv_efficiency(j);
   weight_.set_node_count(j, deployment_[static_cast<std::size_t>(j)]);
@@ -418,6 +432,7 @@ void DeploymentPricer::remove_node(int a) {
   if (deployment_[static_cast<std::size_t>(a)] < 2) {
     throw std::invalid_argument("cannot remove the last node from a post");
   }
+  drop_donor();
   --deployment_[static_cast<std::size_t>(a)];
   const double old_inv = weight_.inv_efficiency(a);
   weight_.set_node_count(a, deployment_[static_cast<std::size_t>(a)]);
@@ -440,6 +455,7 @@ void DeploymentPricer::disable_post(int a) {
   if (disabled_[static_cast<std::size_t>(a)]) {
     throw std::invalid_argument("post is already disabled");
   }
+  drop_donor();
   // The static term leaves the objective before the efficiency goes to
   // +infinity (a destroyed site senses nothing and costs nothing).
   static_sum_ -= instance_->static_energy(a) * weight_.inv_efficiency(a);

@@ -17,7 +17,12 @@
 //     out-neighbors, and re-runs a Dijkstra bounded to the region.  When the
 //     region exceeds `Options::full_recompute_fraction` of the posts it
 //     falls back to one full recompute instead;
-//   * moves (a -> b) compose a removal repair and an addition relaxation;
+//   * moves (a -> b) compose a removal repair and an addition relaxation.
+//     The pricer keeps the post-removal distances and efficiencies of the
+//     last donor priced (the "donor cache"), so a scan over every receiver
+//     b of one donor -- local search's order -- repairs a's removal once
+//     and pays only b's relaxation per move.  Any commit drops the cache;
+//     a price never depends on what was priced before it;
 //   * disabling a post (site destroyed, all nodes lost) drives its edge
 //     weights to +infinity and repairs the survivors the same way a removal
 //     does -- the online fault-repair loop in sim::NetworkSim re-attaches
@@ -28,7 +33,8 @@
 // O(N + affected region) -- a >= 5x win at the paper's largest scales
 // (N = 300, bench/micro_hotpaths BM_move_price_*), with region sizes
 // recorded in the `pricer/repair_region_size` histogram and fallbacks in
-// `pricer/full_fallbacks` (docs/observability.md).
+// `pricer/full_fallbacks` (docs/observability.md), one record per removal
+// repair: per donor scanned, not per candidate move.
 //
 // Correctness: every repaired distance equals a fresh Dijkstra on the
 // modified deployment up to floating-point summation order (relative 1e-9,
@@ -37,6 +43,7 @@
 // this class are not thread-safe; parallel searches keep one per worker.
 #pragma once
 
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -120,6 +127,12 @@ class DeploymentPricer {
   /// non-null.
   void full_recompute(const RechargingWeight& weight, std::vector<double>& dist,
                       std::vector<int>* parents) const;
+  /// Loads the donor cache with the state after removing one node from post
+  /// `a` (m_a >= 2): the committed efficiencies with a's entry lowered, and
+  /// the distances `repair_increase` repairs under them.  No-op on a hit.
+  void load_donor(int a) const;
+  /// Forgets the cached donor; every commit calls it.
+  void drop_donor() noexcept { donor_ = -1; }
   /// Collects a's subtree in the committed parent tree into `region_` /
   /// `in_region_` (caller must clear `in_region_` flags afterwards).
   void collect_region(int a) const;
@@ -157,6 +170,15 @@ class DeploymentPricer {
   mutable std::vector<std::pair<double, int>> heap_;
   mutable std::vector<char> settled_;  // for the disabled-aware dense Dijkstra
   mutable graph::DijkstraScratch full_scratch_;
+
+  // Donor cache: the state after removing one node from `donor_` (-1: none
+  // cached).  `donor_weight_` equals `weight_` at every post but `donor_`
+  // while a donor is cached, and may be stale at any post once dropped.
+  // Allocated on first use, so pricers that never price a removal (IDB,
+  // the exact search, the daemon's sessions) never hold it.
+  mutable int donor_ = -1;
+  mutable std::vector<double> donor_dist_;
+  mutable std::optional<RechargingWeight> donor_weight_;
 };
 
 }  // namespace wrsn::core

@@ -1,14 +1,17 @@
 #include "exp/runner.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 #include "core/charger_placement.hpp"
 #include "core/solution.hpp"
@@ -290,6 +293,19 @@ void append_trial(std::ofstream& out, const TrialRow& row) {
   out.flush();
 }
 
+/// Trial ids, largest first: posts descending, then nodes descending, ties
+/// by trial id.
+std::vector<int> largest_first(const std::vector<TrialRow>& trials) {
+  std::vector<int> order(trials.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    const ScenarioConfig& x = trials[static_cast<std::size_t>(a)].config;
+    const ScenarioConfig& y = trials[static_cast<std::size_t>(b)].config;
+    return std::tuple(-x.posts, -x.nodes, a) < std::tuple(-y.posts, -y.nodes, b);
+  });
+  return order;
+}
+
 std::string csv_escape(const std::string& value) {
   if (value.find_first_of(",\"\n") == std::string::npos) return value;
   std::string out = "\"";
@@ -416,9 +432,17 @@ SweepResult ExperimentRunner::run() {
     }
     emit_progress(false);
   };
+  // Every worker pulls its next trial from one cursor over the largest-first
+  // order, so the big trials start at once on separate workers and the small
+  // ones fill the gaps at the end.  parallel_for only starts one puller per
+  // worker; a trial runs whole on the worker that pulled it and writes only
+  // its own slot, so the rows do not depend on who ran what.
+  const std::vector<int> order = largest_first(result.trials);
+  std::atomic<std::size_t> cursor{0};
   util::ThreadPool pool(options_.threads);
-  pool.parallel_for(num_trials, [&](std::int64_t begin, std::int64_t end, int) {
-    for (std::int64_t t = begin; t < end; ++t) {
+  pool.parallel_for(pool.size(), [&](std::int64_t, std::int64_t, int) {
+    for (std::size_t k = cursor++; k < order.size(); k = cursor++) {
+      const int t = order[k];
       TrialRow& row = result.trials[static_cast<std::size_t>(t)];
       if (done[static_cast<std::size_t>(t)]) {
         std::lock_guard<std::mutex> lock(commit_mutex);

@@ -9,6 +9,12 @@
 // times are recorded per trial but excluded from artifacts by default,
 // keeping them deterministic.
 //
+// Scheduling: trials start largest-first -- posts descending, then nodes
+// descending, ties by trial id -- each worker pulling the next one from a
+// shared cursor and running it whole.  So `on_trial` calls, checkpoint
+// lines and progress events come in roughly that order (exactly that order
+// at one thread), not in trial-id order.
+//
 // Checkpointing: with a checkpoint path set, every finished trial is
 // appended to a `wrsn-exp-checkpoint v1` line file (rows first, then a
 // `done` marker, under one lock).  Re-running the same spec against the
@@ -91,9 +97,13 @@ struct RunnerOptions {
   /// done/total, ETA, running cost summary), emitted under the runner's
   /// lock as trials finish; nullptr = silent.  Not forwarded into solver
   /// calls: concurrent trials would interleave one stream incoherently.
+  /// `eta_s` prices the remaining trials at the mean so far; as the largest
+  /// run first, it overestimates early in a sweep of mixed sizes.
   obs::ProgressSink* progress = nullptr;
   /// Called under the runner's lock as each trial finishes (progress
-  /// reporting).  Completion order is nondeterministic across threads.
+  /// reporting), largest trials first.  Completion order is
+  /// nondeterministic across threads; at one thread it is the largest-first
+  /// start order.
   std::function<void(const TrialRow&)> on_trial;
 };
 

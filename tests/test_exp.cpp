@@ -197,6 +197,90 @@ TEST(ExperimentRunner, CheckpointResumeSkipsDoneTrials) {
   std::remove(path.c_str());
 }
 
+TEST(ExperimentRunner, LargestTrialsRunFirst) {
+  // Trials start largest-first: posts descending, then nodes descending,
+  // ties by trial id.  At one thread that is also the order of the on_trial
+  // calls and of the checkpoint's done markers.
+  exp::SweepSpec spec = small_spec();
+  spec.side = 200.0;
+  spec.posts_axis = {15, 30, 20};
+  spec.nodes_axis = {60, 90};
+  spec.solvers = {"rfh"};
+  // Configs are posts-major: (15,60) (15,90) (30,60) (30,90) (20,60) (20,90),
+  // two runs each.
+  const std::vector<int> expected = {6, 7, 4, 5, 10, 11, 8, 9, 2, 3, 0, 1};
+
+  const std::string path = temp_path("order.ckpt");
+  std::remove(path.c_str());
+  std::vector<int> seen;
+  exp::RunnerOptions options;
+  options.threads = 1;
+  options.checkpoint_path = path;
+  options.on_trial = [&](const exp::TrialRow& row) { seen.push_back(row.trial); };
+  exp::ExperimentRunner(spec, options).run();
+  EXPECT_EQ(seen, expected);
+
+  std::ifstream in(path);
+  std::vector<int> done_order;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("done ", 0) == 0) done_order.push_back(std::stoi(line.substr(5)));
+  }
+  EXPECT_EQ(done_order, expected);
+
+  // Resumed trials are reported in the same order.
+  seen.clear();
+  const exp::SweepResult resumed = exp::ExperimentRunner(spec, options).run();
+  EXPECT_EQ(resumed.resumed_trials, spec.num_trials());
+  EXPECT_EQ(seen, expected);
+  std::remove(path.c_str());
+}
+
+TEST(ExperimentRunner, UnevenGridIsThreadCountInvariant) {
+  // Trials of three sizes, more workers than some size classes and fewer
+  // than others: whichever worker pulls a trial, the rows are the same.
+  exp::SweepSpec spec = small_spec();
+  spec.side = 200.0;
+  spec.posts_axis = {12, 30, 20};
+  spec.nodes_axis = {80};
+  spec.runs = 3;
+  spec.solvers = {"rfh", "idb", "rfh+ls"};
+  exp::RunnerOptions serial;
+  serial.threads = 1;
+  const std::string reference = result_signature(exp::ExperimentRunner(spec, serial).run());
+  for (int threads : {2, 3, 4, 7}) {
+    exp::RunnerOptions options;
+    options.threads = threads;
+    EXPECT_EQ(result_signature(exp::ExperimentRunner(spec, options).run()), reference)
+        << "threads " << threads;
+  }
+
+  // A run killed midway: keep the checkpoint's first half, cut inside a
+  // block, and resume on another thread count.
+  const std::string path = temp_path("uneven.ckpt");
+  std::remove(path.c_str());
+  exp::RunnerOptions writer;
+  writer.threads = 4;
+  writer.checkpoint_path = path;
+  exp::ExperimentRunner(spec, writer).run();
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  in.close();
+  ASSERT_GT(lines.size(), 8u);
+  std::ofstream out(path, std::ios::trunc);
+  for (std::size_t i = 0; i < lines.size() / 2; ++i) out << lines[i] << "\n";
+  out << lines[lines.size() / 2].substr(0, lines[lines.size() / 2].size() / 2);
+  out.close();
+  exp::RunnerOptions resume;
+  resume.threads = 3;
+  resume.checkpoint_path = path;
+  const exp::SweepResult resumed = exp::ExperimentRunner(spec, resume).run();
+  EXPECT_GT(resumed.resumed_trials, 0);
+  EXPECT_LT(resumed.resumed_trials, spec.num_trials());
+  EXPECT_EQ(result_signature(resumed), reference);
+  std::remove(path.c_str());
+}
+
 TEST(ExperimentRunner, CheckpointRejectsForeignFingerprint) {
   const exp::SweepSpec spec = small_spec();
   const std::string path = temp_path("foreign.ckpt");

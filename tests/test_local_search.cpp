@@ -257,6 +257,50 @@ TEST(LocalSearch, GoldenRegressionAgainstPreCacheSolver) {
   }
 }
 
+TEST(LocalSearch, GoldenIncrementalRefinements) {
+  // Default options (incremental pricing, first improvement) from RFH on
+  // the paper's Fig. 8/9 fields: 500 m side, 600 nodes.  The refined
+  // deployment (FNV-1a), the move, pass and evaluation counts and the cost
+  // must match to the last bit, at 1 thread and -- on the 100-post fields
+  // -- at 4 threads, whose speculative batches scan the same order.
+  struct Golden {
+    int posts;
+    std::uint64_t seed;
+    std::uint64_t deployment_hash;
+    int moves;
+    int passes;
+    std::uint64_t evaluations;
+    double cost;
+  };
+  const std::vector<Golden> goldens = {
+      {100, 9701, 8942534947880023971ULL, 135, 6, 59401, 0.00071987861310600549},
+      {100, 9702, 6255276818648804389ULL, 140, 7, 69301, 0.00075968223008958261},
+      {200, 9703, 15560002175650760421ULL, 236, 6, 105444, 0.0021548462392580576},
+      {200, 9704, 6274867984814990697ULL, 187, 8, 113819, 0.0021060992460493421},
+      {300, 9705, 350541956882887861ULL, 128, 8, 101415, 0.003675696749301057},
+      {300, 9706, 9573184881235169637ULL, 81, 7, 87774, 0.0037400176220005023},
+  };
+  for (const Golden& golden : goldens) {
+    util::Rng rng(golden.seed);
+    const Instance inst = test::random_instance(golden.posts, 600, 500.0, rng);
+    const Solution start = solve_rfh(inst).solution;
+    for (int threads : golden.posts == 100 ? std::vector<int>{1, 4} : std::vector<int>{1}) {
+      LocalSearchOptions options;
+      options.threads = threads;
+      const auto result = refine_solution(inst, start, options);
+      const auto label = [&] {
+        return ::testing::Message() << "posts " << golden.posts << " seed " << golden.seed
+                                    << " threads " << threads;
+      };
+      EXPECT_EQ(test::fnv1a(result.solution.deployment), golden.deployment_hash) << label();
+      EXPECT_EQ(result.moves_applied, golden.moves) << label();
+      EXPECT_EQ(result.passes, golden.passes) << label();
+      EXPECT_EQ(result.evaluations, golden.evaluations) << label();
+      EXPECT_EQ(result.cost, golden.cost) << label();
+    }
+  }
+}
+
 TEST(LocalSearch, IncrementalPricingMatchesFullOnGoldenInstances) {
   // The dynamic-repair pricer changes candidate costs only at the FP
   // summation level; on the golden instances the accepted-move sequence,

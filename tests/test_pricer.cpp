@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "core/baseline.hpp"
 #include "core/failures.hpp"
@@ -134,6 +136,102 @@ TEST(Pricer, MovePricesMatchNaiveForEveryPair) {
       EXPECT_NEAR(pricer.cost_with_moved_node(a, b), naive, naive * 1e-9)
           << "move " << a << " -> " << b;
     }
+  }
+}
+
+TEST(Pricer, MovePricesIgnoreCallOrderAndCommits) {
+  // The pricer keeps the last donor's removal repair between calls.  A
+  // price must never depend on that: every move costs the same double in
+  // donor-major order (local search's scan), receiver-major order (a new
+  // donor on every call) and a shuffled order interleaved with the other
+  // pricing calls; and after each kind of commit the cached donor prices
+  // like a twin pricer that saw the same commits and priced nothing.
+  util::Rng rng(1231);
+  const Instance inst = test::random_instance(40, 120, 260.0, rng);
+  const int n = inst.num_posts();
+  const std::vector<int> deployment = balanced_deployment(n, 120);
+  const auto at = [n](int a, int b) { return static_cast<std::size_t>(a * n + b); };
+
+  DeploymentPricer donor_major(inst, deployment);
+  std::vector<double> moves(static_cast<std::size_t>(n * n));
+  for (int a = 0; a < n; ++a) {
+    for (int b = 0; b < n; ++b) moves[at(a, b)] = donor_major.cost_with_moved_node(a, b);
+  }
+  DeploymentPricer receiver_major(inst, deployment);
+  for (int b = 0; b < n; ++b) {
+    for (int a = 0; a < n; ++a) {
+      ASSERT_EQ(receiver_major.cost_with_moved_node(a, b), moves[at(a, b)])
+          << "move " << a << " -> " << b;
+    }
+  }
+
+  // References for the interleaved calls, each from a pricer of its own.
+  std::vector<double> removals(static_cast<std::size_t>(n));
+  std::vector<double> extras(static_cast<std::size_t>(n));
+  for (int p = 0; p < n; ++p) {
+    removals[static_cast<std::size_t>(p)] =
+        DeploymentPricer(inst, deployment).cost_with_removed_node(p);
+    extras[static_cast<std::size_t>(p)] =
+        DeploymentPricer(inst, deployment).cost_with_extra_node(p);
+  }
+  const DeploymentPricer batch_reference(inst, deployment);
+
+  std::vector<std::pair<int, int>> pairs;
+  for (int a = 0; a < n; ++a) {
+    for (int b = 0; b < n; ++b) pairs.emplace_back(a, b);
+  }
+  std::shuffle(pairs.begin(), pairs.end(), rng);
+  DeploymentPricer shuffled(inst, deployment);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const auto [a, b] = pairs[i];
+    ASSERT_EQ(shuffled.cost_with_moved_node(a, b), moves[at(a, b)])
+        << "move " << a << " -> " << b << " at call " << i;
+    switch (i % 4) {
+      case 0:
+        ASSERT_EQ(shuffled.cost_with_removed_node(b), removals[static_cast<std::size_t>(b)]);
+        break;
+      case 1:
+        ASSERT_EQ(shuffled.cost_with_extra_node(a), extras[static_cast<std::size_t>(a)]);
+        break;
+      case 2: {
+        const std::vector<std::pair<int, int>> extra = {{b, 2}};
+        ASSERT_EQ(shuffled.cost_with_added_nodes(extra),
+                  batch_reference.cost_with_added_nodes(extra));
+        break;
+      }
+      default:
+        break;
+    }
+  }
+
+  // Commits.  The donor has a post (not the base station) as its parent,
+  // which the last step takes out of service.
+  int donor = 0;
+  while (donor_major.parent(donor) >= n) ++donor;
+  const int parent = donor_major.parent(donor);
+  const int other = (donor + 1 == parent) ? donor + 2 : donor + 1;
+  struct Step {
+    const char* name;
+    std::function<void(DeploymentPricer&)> commit;
+  };
+  const std::vector<Step> steps = {
+      {"move_node", [&](DeploymentPricer& p) { p.move_node(donor, other); }},
+      {"add_node", [&](DeploymentPricer& p) { p.add_node(donor); }},
+      {"remove_node", [&](DeploymentPricer& p) { p.remove_node(donor); }},
+      {"disable_post", [&](DeploymentPricer& p) { p.disable_post(parent); }},
+  };
+  DeploymentPricer live(inst, deployment);
+  std::vector<const Step*> history;
+  for (const Step& step : steps) {
+    for (int b = 0; b < n; ++b) live.cost_with_moved_node(donor, b);  // cache the donor
+    step.commit(live);
+    history.push_back(&step);
+    DeploymentPricer twin(inst, deployment);
+    for (const Step* done : history) done->commit(twin);
+    EXPECT_EQ(live.cost_with_moved_node(donor, other), twin.cost_with_moved_node(donor, other))
+        << "after " << step.name;
+    EXPECT_EQ(live.cost_with_removed_node(donor), twin.cost_with_removed_node(donor))
+        << "after " << step.name;
   }
 }
 
